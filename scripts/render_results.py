@@ -683,7 +683,7 @@ def _kernel_names():
         return names.PROFILE_KERNEL_KEYS, dict(names.LEGACY_KERNEL_KEYS)
     except ImportError:  # pragma: no cover - bare checkout
         return (("encode_packet", "decode_header", "decode_values",
-                 "offer_batch"),
+                 "ack_codec", "offer_batch"),
                 {"encode": "encode_packet", "offer": "offer_batch"})
 
 
@@ -694,28 +694,25 @@ def _profile_section() -> str:
     codec = payload["codec_pipeline"]
     kernel_keys, legacy = _kernel_names()
     aliases = {canonical: alias for alias, canonical in legacy.items()}
+    labels = {
+        "encode_packet": "encode_packet(CheetahPacket) / encode_stream",
+        "decode_header": "decode_header / decode_header_fields",
+        "decode_values": "decode_values / decode_values_run",
+        "ack_codec": "decode_ack(encode_ack(Ack)) / unpack_ack(pack_ack)",
+        "offer_batch": "offer / offer_batch",
+    }
     kernel_rows = []
     for key in kernel_keys:
         # Checked-in payloads may predate the canonical spelling.
         entry = codec.get(key) or codec[aliases.get(key, key)]
-        label = ("offer / offer_batch" if key == "offer_batch"
-                 else key)
-        per_packet = entry["per_packet_seconds"]
         bulk = entry.get("bulk_seconds", entry.get("batched_seconds"))
         speedup = entry.get("bulk_speedup", entry.get("batched_speedup"))
         kernel_rows.append({
-            "kernel": f"`{label}`",
-            "per-packet (s)": _fmt(per_packet),
-            "bulk/batched (s)": _fmt(bulk),
+            "kernel": f"`{labels.get(key, key)}`",
+            "per-packet (s)": _fmt(entry["per_packet_seconds"]),
+            "stream/batched (s)": _fmt(bulk),
             "speedup": _fmt(speedup, 2) + "x",
         })
-    fields = codec["decode_header"]
-    kernel_rows.insert(2, {
-        "kernel": "`decode_header_fields` (column-oriented)",
-        "per-packet (s)": _fmt(fields["per_packet_seconds"]),
-        "bulk/batched (s)": _fmt(fields["fields_seconds"]),
-        "speedup": _fmt(fields["fields_speedup"], 2) + "x",
-    })
 
     def hotspot_rows(loop):
         return [
@@ -739,9 +736,11 @@ def _profile_section() -> str:
         ".json).  Workload counters are seed-fixed; seconds are host "
         "measurements.  The workflow and the kernel inventory are "
         "documented in [PERFORMANCE.md](PERFORMANCE.md).\n\n"
-        "Codec kernel tiers over the identical packet vector "
-        "(bit-identical outputs asserted in-run):\n\n"
-        + _table(["kernel", "per-packet (s)", "bulk/batched (s)",
+        "Per-packet reference tier (one validated dataclass per packet "
+        "or ACK) against the stream tier the transport runs, over the "
+        "identical packet vector (bit-identical outputs asserted "
+        "in-run):\n\n"
+        + _table(["kernel", "per-packet (s)", "stream/batched (s)",
                   "speedup"], kernel_rows)
         + "\n\nTop codec-pipeline functions by cumulative time:\n\n"
         + _table(["function", "calls", "cumulative (s)"],

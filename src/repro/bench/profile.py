@@ -3,10 +3,11 @@
 The ROADMAP's "native-speed hot path" work needs a repeatable answer
 to *where the time goes*:
 
-* the **codec + pipeline** loop — ``encode_packet`` / header decode /
-  ``offer_batch`` over a seeded packet stream (the per-arrival work of
-  ``switch/pipeline.py`` + ``net/wire.py``), per-packet tier vs the
-  bulk ``np.frombuffer`` tier;
+* the **codec + pipeline** loop — packet encode / header decode /
+  value decode / ACK round trip / ``offer_batch`` over a seeded packet
+  stream (the per-arrival work of ``switch/pipeline.py`` +
+  ``net/wire.py``), per-packet reference tier vs the stream tier the
+  production transport runs;
 * the **scheduler tick** loop — ``ServingLoop.run_tick`` driving a
   seeded multi-tenant serve (admission, DRR service, transfer steps).
 
@@ -62,52 +63,62 @@ def _hotspots(profile: cProfile.Profile,
 
 def _profile_codec_pipeline(rows: int, shards: int, batch_size: int,
                             seed: int) -> Dict:
-    """Profile pack/unpack + ``offer_batch``: per-packet vs bulk tier.
+    """Profile pack/unpack + ``offer_batch``: per-packet vs stream tier.
 
-    The workload is the fig11 DISTINCT stream encoded onto the wire:
-    every timing below covers the identical seeded packet vector, so
-    the per-packet/bulk ratios are apples-to-apples.
+    The workload is the fig11 DISTINCT stream encoded onto the wire;
+    every timing covers the identical seeded packet vector.  The
+    per-packet column is the reference tier, one validated dataclass
+    per packet or ACK included; the ``bulk`` column is the stream tier
+    the production transport calls.
     """
     from repro.cluster.runtime import make_sharded
     from repro.core.distinct import DistinctPruner
-    from repro.net.packet import CheetahPacket
+    from repro.net.packet import Ack, AckKind, CheetahPacket
     from repro.net import wire
     from repro.workloads.streams import random_order_stream
 
-    stream = random_order_stream(rows, max(1, rows // 10), seed)
-    packets = [CheetahPacket(fid=1, seq=index, values=(value,))
-               for index, value in enumerate(stream)]
+    def timed(fn):
+        start = time.perf_counter()
+        result = fn()
+        return time.perf_counter() - start, result
 
-    start = time.perf_counter()
-    frames_scalar = [wire.encode_packet(packet) for packet in packets]
-    encode_packet_seconds = time.perf_counter() - start
-    start = time.perf_counter()
-    frames = wire.encode_packet_batch(packets)
-    encode_bulk_seconds = time.perf_counter() - start
+    stream = random_order_stream(rows, max(1, rows // 10), seed)
+    stream_entries = [(value,) for value in stream]
+    count = len(stream_entries)
+
+    encode_packet_seconds, frames_scalar = timed(lambda: [
+        wire.encode_packet(CheetahPacket(fid=1, seq=index, values=entry))
+        for index, entry in enumerate(stream_entries)])
+    encode_stream_seconds, frames = timed(
+        lambda: wire.encode_stream(1, stream_entries))
+    frames.pop()    # the FIN: the per-packet column frames data only
     assert frames == frames_scalar
 
-    start = time.perf_counter()
-    headers_scalar = [wire.decode_header(frame) for frame in frames]
-    header_packet_seconds = time.perf_counter() - start
-    start = time.perf_counter()
-    headers = wire.decode_header_batch(frames)
-    header_bulk_seconds = time.perf_counter() - start
-    assert headers == headers_scalar
-
-    start = time.perf_counter()
-    columns = wire.decode_header_fields(frames)
-    header_fields_seconds = time.perf_counter() - start
+    header_packet_seconds, headers_scalar = timed(
+        lambda: [wire.decode_header(frame) for frame in frames])
+    header_fields_seconds, columns = timed(
+        lambda: wire.decode_header_fields(frames))
     assert list(zip(*columns)) == headers_scalar
 
-    start = time.perf_counter()
-    values_scalar = [wire.decode_values(frame, header[2])
-                     for frame, header in zip(frames, headers)]
-    values_packet_seconds = time.perf_counter() - start
-    start = time.perf_counter()
-    values = wire.decode_values_batch(frames,
-                                      [header[2] for header in headers])
-    values_bulk_seconds = time.perf_counter() - start
+    counts = columns[2]
+    values_packet_seconds, values_scalar = timed(lambda: [
+        wire.decode_values(frame, n) for frame, n in zip(frames, counts)])
+    values_run_seconds, values = timed(lambda: [
+        decoded for index in range(0, count, batch_size)
+        for decoded in wire.decode_values_run(
+            frames[index:index + batch_size],
+            counts[index:index + batch_size])])
     assert values == values_scalar
+
+    ack_object_seconds, acks_scalar = timed(lambda: [
+        wire.decode_ack(wire.encode_ack(
+            Ack(fid=1, seq=index, kind=AckKind.SWITCH)))
+        for index in range(count)])
+    ack_int_seconds, acks = timed(lambda: [
+        wire.unpack_ack(wire.pack_ack(1, index, wire.ACK_SWITCH))
+        for index in range(count)])
+    assert acks == [(ack.fid, ack.seq, wire.ACK_SWITCH)
+                    for ack in acks_scalar]
 
     entries = [value[0] for value in values]
 
@@ -124,13 +135,9 @@ def _profile_codec_pipeline(rows: int, shards: int, batch_size: int,
     pruner = make_sharded(
         lambda: DistinctPruner(rows=4096, width=2, seed=seed),
         shards, None, seed=seed)
-    start = time.perf_counter()
-    packet_decisions = [pruner.offer(entry) for entry in entries]
-    offer_packet_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    batch_decisions = offer_batched()
-    offer_batch_seconds = time.perf_counter() - start
+    offer_packet_seconds, packet_decisions = timed(
+        lambda: [pruner.offer(entry) for entry in entries])
+    offer_batch_seconds, batch_decisions = timed(offer_batched)
     assert batch_decisions == packet_decisions
 
     # Second, profiled pass (same seeds, fresh pruner: identical work).
@@ -143,33 +150,23 @@ def _profile_codec_pipeline(rows: int, shards: int, batch_size: int,
     def ratio(slow: float, fast: float) -> Optional[float]:
         return slow / fast if fast > 0 else None
 
+    def tiers(per_packet: float, bulk: float) -> Dict:
+        return {"per_packet_seconds": per_packet, "bulk_seconds": bulk,
+                "bulk_speedup": ratio(per_packet, bulk)}
+
     # Kernel entries are keyed by the profiled function's real name
     # (repro.obs.names.PROFILE_KERNEL_KEYS); pre-PR-10 payloads used
     # abbreviations — renderers map those via LEGACY_KERNEL_KEYS.
     return {
-        "packets": len(packets),
+        "packets": len(frames),
         "bytes_on_wire": sum(len(frame) for frame in frames),
-        names.KERNEL_ENCODE: {
-            "per_packet_seconds": encode_packet_seconds,
-            "bulk_seconds": encode_bulk_seconds,
-            "bulk_speedup": ratio(encode_packet_seconds,
-                                  encode_bulk_seconds),
-        },
-        names.KERNEL_DECODE_HEADER: {
-            "per_packet_seconds": header_packet_seconds,
-            "bulk_seconds": header_bulk_seconds,
-            "bulk_speedup": ratio(header_packet_seconds,
-                                  header_bulk_seconds),
-            "fields_seconds": header_fields_seconds,
-            "fields_speedup": ratio(header_packet_seconds,
-                                    header_fields_seconds),
-        },
-        names.KERNEL_DECODE_VALUES: {
-            "per_packet_seconds": values_packet_seconds,
-            "bulk_seconds": values_bulk_seconds,
-            "bulk_speedup": ratio(values_packet_seconds,
-                                  values_bulk_seconds),
-        },
+        names.KERNEL_ENCODE: tiers(encode_packet_seconds,
+                                   encode_stream_seconds),
+        names.KERNEL_DECODE_HEADER: tiers(header_packet_seconds,
+                                          header_fields_seconds),
+        names.KERNEL_DECODE_VALUES: tiers(values_packet_seconds,
+                                          values_run_seconds),
+        names.KERNEL_ACK: tiers(ack_object_seconds, ack_int_seconds),
         names.KERNEL_OFFER: {
             "per_packet_seconds": offer_packet_seconds,
             "batched_seconds": offer_batch_seconds,

@@ -1152,13 +1152,10 @@ def _profile(args) -> int:
           f"batch_size={payload['batch_size']}")
     print(f"  codec: {codec['packets']} packets, "
           f"{codec['bytes_on_wire']} wire bytes")
-    header = codec[names.KERNEL_DECODE_HEADER]
-    offer = codec[names.KERNEL_OFFER]
-    print(f"    {names.KERNEL_DECODE_HEADER:14s} fields speedup="
-          f"{header['fields_speedup']:.2f}x "
-          f"bulk={header['bulk_speedup']:.2f}x")
-    print(f"    {names.KERNEL_OFFER:14s} batched speedup="
-          f"{offer['batched_speedup']:.2f}x")
+    for key in names.PROFILE_KERNEL_KEYS:
+        kernel = codec[key]
+        speedup = kernel.get("bulk_speedup", kernel.get("batched_speedup"))
+        print(f"    {key:14s} stream/batched speedup={speedup:.2f}x")
     print(f"  scheduler: {sched['ticks']} ticks, {sched['entries']} "
           f"entries, {sched['served']} tenants served "
           f"(equivalent={sched['all_equivalent']})")

@@ -105,7 +105,7 @@ from repro.net.reliability import (
     ReliableWorker,
     SwitchForwarder,
 )
-from repro.net.wire import decode_ack
+from repro.net.wire import unpack_ack
 from repro.switch.controlplane import ControlPlane
 
 TableSet = Union[Table, Mapping[str, Table]]
@@ -373,11 +373,12 @@ class ActiveTransfer:
                 self.switch.process(data, self.down, self.acks)
             for data in self.down.drain():
                 self.master.process(data, self.acks)
+        workers = self.workers
         for data in self.acks.drain():
-            ack = decode_ack(data)
-            worker = self.workers.get(ack.fid)
+            fid, seq, _ = unpack_ack(data)
+            worker = workers.get(fid)
             if worker is not None:
-                worker.on_ack(ack)
+                worker.on_ack_seq(seq)
 
     def degrade(self, loss_rate: float) -> None:
         """Chaos hook (``docs/CHAOS.md``): change the live channels'
@@ -400,7 +401,7 @@ class ActiveTransfer:
         return PassStats(
             name=self.request.name,
             entries=sum(len(s) for s in self.request.streams.values()),
-            delivered=sum(len(self.master.received(fid))
+            delivered=sum(self.master.received_count(fid)
                           for fid in self.request.streams),
             ticks=self.ticks,
             retransmissions=sum(w.retransmissions

@@ -100,16 +100,14 @@ class CWorker:
         *before* encoding (e.g. negation for ascending TOP-N, so the
         switch's "keep the largest" registers implement "smallest").
         """
-        cols = [self.partition.column(c) for c in columns]
-        fns = [transforms.get(c) if transforms else None for c in columns]
-        entries = []
-        for i in range(len(self.partition)):
-            words = tuple(
-                encode_value(fn(col[i]) if fn is not None else col[i])
-                for col, fn in zip(cols, fns)
-            )
-            entries.append((base + i,) + words)
-        return entries
+        words = []
+        for name in columns:
+            values = self.partition.column(name).values
+            fn = transforms.get(name) if transforms else None
+            if fn is not None:
+                values = map(fn, values)
+            words.append(map(encode_value, values))
+        return list(zip(range(base, base + len(self.partition)), *words))
 
     def packets(self, columns: Sequence[str],
                 per_packet: int = 1) -> List[CheetahPacket]:

@@ -51,9 +51,23 @@ class Table:
             self.columns[col_name].append(row[col_name])
 
     def extend(self, rows: Iterable[Row]) -> None:
-        """Append many rows."""
+        """Append many rows: transposed once and coerced per column.
+
+        A row missing a column raises ``KeyError`` and a value its
+        column type rejects ``TypeError``, before any row is stored.
+        """
+        rows = list(rows)
+        required = set(self._order)
         for row in rows:
-            self.append(row)
+            if not required <= row.keys():
+                raise KeyError(
+                    f"row missing columns: {sorted(required - set(row))}")
+        columns = [
+            self.columns[name].ctype.coerce_all(row[name] for row in rows)
+            for name in self._order
+        ]
+        for name, values in zip(self._order, columns):
+            self.columns[name].values.extend(values)
 
     # -- access ---------------------------------------------------------------
     @property
@@ -85,8 +99,9 @@ class Table:
 
     def rows(self) -> Iterator[Row]:
         """Iterate rows as dicts (materialised lazily)."""
-        for i in range(len(self)):
-            yield self.row(i)
+        names = self._order
+        for values in zip(*[self.columns[n].values for n in names]):
+            yield dict(zip(names, values))
 
     def select_columns(self, names: Sequence[str]) -> "Table":
         """Projection: new table with only ``names`` (metadata stream).

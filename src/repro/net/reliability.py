@@ -29,12 +29,17 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.net.channel import LossyChannel
 from repro.net.packet import Ack, AckKind, CheetahPacket, FIN_FLAG
 from repro.net.wire import (
+    ACK_MASTER,
+    ACK_SWITCH,
     decode_ack,
     decode_header_fields,
     decode_packet,
     decode_values,
+    decode_values_run,
     encode_ack,
     encode_packet,
+    encode_stream,
+    pack_ack,
 )
 
 PruneFn = Callable[[Tuple[int, ...]], bool]
@@ -76,24 +81,15 @@ class ReliableWorker:
             raise ValueError(f"timeout must be >= 1 tick, got {timeout_ticks}")
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
-        if per_packet < 1:
-            raise ValueError(f"per_packet must be >= 1, got {per_packet}")
         self.fid = fid
         self.timeout_ticks = timeout_ticks
         self.window = window
-        self._packets: List[CheetahPacket] = []
-        for seq, start in enumerate(range(0, len(entries), per_packet)):
-            group = entries[start:start + per_packet]
-            values = tuple(v for entry in group for v in entry)
-            self._packets.append(
-                CheetahPacket(fid=fid, seq=seq, values=values)
-            )
-        self._packets.append(
-            CheetahPacket(fid=fid, seq=len(self._packets), flags=FIN_FLAG)
-        )
-        # Serialize once: retransmissions resend the cached bytes instead
-        # of re-encoding (the CWorker's serialization buffer).
-        self._wire: List[bytes] = [encode_packet(p) for p in self._packets]
+        # Serialize once, straight from the entry tuples (which also
+        # validates ``per_packet``): retransmissions resend the cached
+        # bytes, the CWorker's serialization buffer; frame ``seq`` is
+        # ``_wire[seq]``.
+        self._wire: List[bytes] = encode_stream(fid, entries, per_packet)
+        self._count = len(self._wire)
         self._next_new = 0
         self._unacked: Dict[int, int] = {}   # seq -> last send tick
         self._acked: set = set()
@@ -107,21 +103,25 @@ class ReliableWorker:
     @property
     def done(self) -> bool:
         """All packets (including FIN) are acknowledged."""
-        return len(self._acked) == len(self._packets)
+        return len(self._acked) == self._count
 
     def on_ack(self, ack: Ack) -> None:
-        """Process an ACK from master or switch.
+        """Process an ACK object; other flows' ACKs are ignored."""
+        if ack.fid == self.fid:
+            self.on_ack_seq(ack.seq)
+
+    def on_ack_seq(self, seq: int) -> None:
+        """Sequence ``seq`` of this flow was acknowledged.
 
         Only the *first* ACK of a sequence credits the rate
         controller's acked window — duplicate ACKs (retransmission
         echoes) must not inflate the additive-increase clock.
         """
-        if ack.fid != self.fid:
-            return
-        if ack.seq not in self._acked and self.controller is not None:
-            self.controller.on_ack()
-        self._acked.add(ack.seq)
-        self._unacked.pop(ack.seq, None)
+        if seq not in self._acked:
+            if self.controller is not None:
+                self.controller.on_ack()
+            self._acked.add(seq)
+        self._unacked.pop(seq, None)
 
     def replay_window(self) -> int:
         """Survivor takeover after a worker crash (``docs/CHAOS.md``).
@@ -174,13 +174,12 @@ class ReliableWorker:
                     channel.send(self._wire[seq])
                     self._unacked[seq] = now
                     self.retransmissions += 1
-        while (self._next_new < len(self._packets)
+        while (self._next_new < self._count
                and len(self._unacked) < self.window):
             if ctrl is not None and not ctrl.try_send():
                 break
-            packet = self._packets[self._next_new]
-            channel.send(self._wire[packet.seq])
-            self._unacked[packet.seq] = now
+            channel.send(self._wire[self._next_new])
+            self._unacked[self._next_new] = now
             self._next_new += 1
 
 
@@ -304,13 +303,15 @@ class BatchedSwitchForwarder(SwitchForwarder):
         """Handle one tick's wire packets from the workers.
 
         Only the headers of the arrival batch are parsed up front — one
-        vectorized :func:`decode_header_fields` call over the whole
-        batch (like a PISA parser, the payload stays opaque for
-        forwarding decisions); the values of the in-order *fresh*
-        packets — the only ones that reach the prune logic — are
-        decoded lazily.  Under loss, retransmissions dominate arrivals,
-        so this skips the bulk of the payload parsing the per-packet
-        path performs.
+        vectorized :func:`decode_header_fields` call (like a PISA
+        parser, the payload stays opaque for forwarding decisions); the
+        values of the in-order *fresh* packets — the only ones that
+        reach the prune logic — come out of one
+        :func:`decode_values_run` over those packets.  Under loss,
+        retransmissions dominate arrivals, so this skips the bulk of
+        the payload parsing the per-packet path performs.  Nothing here
+        builds a per-packet object: frames in, frames and int-coded
+        ACKs out.
         """
         if not datas:
             return
@@ -332,9 +333,8 @@ class BatchedSwitchForwarder(SwitchForwarder):
             else:
                 outcomes.append(_GAP)
         if fresh:
-            decisions = self.prune_batch_fn([
-                decode_values(datas[i], ns[i]) for i in fresh
-            ])
+            decisions = self.prune_batch_fn(decode_values_run(
+                [datas[i] for i in fresh], [ns[i] for i in fresh]))
             if len(decisions) != len(fresh):
                 raise ValueError(
                     f"prune_batch_fn returned {len(decisions)} decisions "
@@ -344,20 +344,24 @@ class BatchedSwitchForwarder(SwitchForwarder):
             self.largest_batch = max(self.largest_batch, len(fresh))
             for i, pruned in zip(fresh, decisions):
                 outcomes[i] = _PRUNED if pruned else _FORWARD
+        forward = to_master.send
+        ack = to_worker.send
+        forwarded = pruned = retransmitted = 0
         for data, fid, seq, outcome in zip(datas, fids, seqs, outcomes):
             if outcome == _FORWARD:
-                self.forwarded += 1
-                to_master.send(data)
+                forwarded += 1
+                forward(data)
             elif outcome == _PRUNED:
-                self.pruned += 1
-                to_worker.send(encode_ack(
-                    Ack(fid=fid, seq=seq, kind=AckKind.SWITCH)
-                ))
+                pruned += 1
+                ack(pack_ack(fid, seq, ACK_SWITCH))
             elif outcome == _RETRANSMIT:
-                self.forwarded_retransmissions += 1
-                to_master.send(data)
-            else:
-                self.dropped_out_of_order += 1
+                retransmitted += 1
+                forward(data)
+        self.forwarded += forwarded
+        self.pruned += pruned
+        self.forwarded_retransmissions += retransmitted
+        self.dropped_out_of_order += (len(datas) - forwarded - pruned
+                                      - retransmitted)
 
 
 class MasterEndpoint:
@@ -397,12 +401,14 @@ class MasterEndpoint:
         values are only decoded the first time its sequence number is
         seen.
         """
-        columns = decode_header_fields(datas)
-        for data, fid, seq, n, flags in zip(datas, *columns):
-            to_worker.send(encode_ack(
-                Ack(fid=fid, seq=seq, kind=AckKind.MASTER)
-            ))
-            seen = self._seen.setdefault(fid, set())
+        ack = to_worker.send
+        seen_by_fid = self._seen
+        for data, fid, seq, n, flags in zip(datas,
+                                            *decode_header_fields(datas)):
+            ack(pack_ack(fid, seq, ACK_MASTER))
+            seen = seen_by_fid.get(fid)
+            if seen is None:
+                seen = seen_by_fid[fid] = set()
             if seq in seen:
                 self.duplicates += 1
                 continue
@@ -416,6 +422,10 @@ class MasterEndpoint:
         """Entries received for ``fid``, in sequence order."""
         entries = self._entries.get(fid, {})
         return [entries[seq] for seq in sorted(entries)]
+
+    def received_count(self, fid: int) -> int:
+        """How many distinct entries arrived for ``fid``."""
+        return len(self._entries.get(fid, ()))
 
     def fin_received(self, fid: int) -> bool:
         """Whether the worker's end-of-stream marker arrived."""

@@ -22,105 +22,138 @@ in-memory object passing.
 
 Two codec tiers share this layout:
 
-* **Per-packet** (``encode_packet`` / ``decode_packet`` /
-  ``decode_header`` / ``decode_values``): one cached ``struct.Struct``
-  call per packet.  The format objects are interned per value count
-  (``n`` is a single byte, so the cache is bounded at 256 entries) —
-  building ``f">{n}Q"`` strings on every call used to dominate the
-  codec profile.
-* **Bulk** (``decode_header_fields`` / ``decode_header_batch`` /
-  ``decode_packet_batch`` / ``encode_packet_batch``): the whole batch
-  is joined into one buffer
-  and decoded with a single ``np.frombuffer`` — possible because the
-  8-byte header keeps every frame a multiple of 8 bytes, so each
-  packet's words land 8-aligned in the join.  This is the PISA-parser
-  analogy taken literally: one wide parse over the arrival vector
-  instead of a Python loop of ``struct`` calls.  Every malformed frame
-  still raises :class:`WireFormatError`, and the decisions are
-  bit-identical to the per-packet tier (property-tested).
+* **Per-packet reference** (``encode_packet`` / ``decode_packet`` /
+  ``decode_header`` / ``decode_values`` / ``encode_ack`` /
+  ``decode_ack``): one interned ``struct.Struct`` call per packet, in
+  terms of the validated :class:`CheetahPacket` / :class:`Ack`
+  dataclasses.  ``SwitchForwarder.process``, ``MasterEndpoint.process``,
+  ``run_transfer`` and the tests speak it.
+* **Stream** (``encode_stream`` / ``decode_header_fields`` /
+  ``decode_values_run`` / ``pack_ack`` / ``unpack_ack``): what the
+  production transport runs, bytes and ints only.  A worker's stream is
+  framed straight from its entry tuples; a tick's arrivals are
+  header-parsed as four parallel columns with one ``np.frombuffer``
+  (the 8-byte header keeps every frame a multiple of 8 bytes, so each
+  packet's words land 8-aligned in the join); the fresh packets' values
+  come out of one ``iter_unpack`` over their join; ACKs travel as
+  ``(fid, seq, code)``.  Each function validates like its per-packet
+  counterpart (``ValueError`` for unencodable fields,
+  :class:`WireFormatError` for malformed bytes) and is byte-identical
+  to it (property-tested).
 
-Both tiers are pure Python + numpy.  When numba is importable (it is
-an optional accelerator, never a requirement) the bulk header-field
-extraction can run through an ``@njit`` kernel; setting
-``REPRO_NO_NUMBA=1`` — or simply not having numba installed — takes
-the numpy path, which is bit-identical by construction.
+When numba is importable (an optional accelerator, never a requirement)
+the bulk header-field split runs through an ``@njit`` kernel;
+``REPRO_NO_NUMBA=1`` — or not having numba — takes the numpy path,
+bit-identical by construction.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.net.packet import Ack, AckKind, CheetahPacket
+from repro.net.packet import (
+    FIN_FLAG,
+    MAX_VALUES,
+    VALUE_BITS,
+    Ack,
+    AckKind,
+    CheetahPacket,
+)
 
 _HEADER = struct.Struct(">HIBB")
 _ACK = struct.Struct(">HIB")
 
-_ACK_KIND_CODE = {AckKind.MASTER: 0, AckKind.SWITCH: 1}
+#: ACK kind codes on the wire (the ACK layout's third field);
+#: :class:`AckKind` is the reference tier's view of them.
+ACK_MASTER, ACK_SWITCH = 0, 1
+_ACK_KIND_CODE = {AckKind.MASTER: ACK_MASTER, AckKind.SWITCH: ACK_SWITCH}
 _ACK_KIND_FROM = {code: kind for kind, code in _ACK_KIND_CODE.items()}
 
-#: Interned value-payload formats, keyed by value count.  ``n`` rides
-#: in one header byte, so the cache is bounded at 256 entries; entries
-#: are created on first use (a long-lived process converges on the
-#: handful of batch shapes its queries actually emit).
-_VALUE_STRUCTS: dict = {}
-
-#: Batches at least this large take the ``np.frombuffer`` bulk path;
-#: smaller ones loop the cached per-packet structs (the numpy fixed
-#: cost beats the loop only once there is real width to amortize it).
+#: Header batches at least this large take the ``np.frombuffer`` path;
+#: smaller ones loop the per-packet structs (cheaper at that size).
 _BULK_MIN_BATCH = 16
-
-
-def _value_struct(n: int) -> struct.Struct:
-    """The cached ``>{n}Q`` format for an ``n``-value payload."""
-    cached = _VALUE_STRUCTS.get(n)
-    if cached is None:
-        if not 0 <= n <= 0xFF:
-            raise WireFormatError(
-                f"value count must fit the 1-byte header field, got {n}")
-        cached = _VALUE_STRUCTS[n] = struct.Struct(f">{n}Q")
-    return cached
 
 
 class WireFormatError(ValueError):
     """Malformed bytes on the wire."""
 
 
+# Formats are interned per value count; ``n`` rides in one header byte
+# (out-of-range counts raise, uncached), so each cache holds <= 256.
+@functools.lru_cache(maxsize=None)
+def _frame_struct(n: int) -> struct.Struct:
+    """The ``>HIBB{n}Q`` format of a whole ``n``-value frame."""
+    if not 0 <= n <= MAX_VALUES:
+        raise ValueError(f"at most {MAX_VALUES} values per packet, got {n}")
+    return struct.Struct(f">HIBB{n}Q")
+
+
+@functools.lru_cache(maxsize=None)
+def _value_struct(n: int) -> struct.Struct:
+    """The ``>8x{n}Q`` format: a frame's ``n`` values, header skipped."""
+    if not 0 <= n <= MAX_VALUES:
+        raise WireFormatError(
+            f"value count must fit the 1-byte header field, got {n}")
+    return struct.Struct(f">8x{n}Q")
+
+
 def encode_packet(packet: CheetahPacket) -> bytes:
-    """Serialize a data packet.
-
-    The values are packed with one cached ``struct.Struct`` call
-    (``>nQ``) — this is the per-packet hot path of the cluster
-    simulation, and one call per packet beats one call per value by a
-    wide margin.
-    """
+    """Serialize a data packet: one cached ``struct.Struct`` call
+    (``>HIBB{n}Q``) per packet."""
     values = packet.values
-    header = _HEADER.pack(packet.fid, packet.seq, len(values),
-                          packet.flags)
-    if not values:
-        return header
-    return header + _value_struct(len(values)).pack(*values)
+    n = len(values)
+    return _frame_struct(n).pack(packet.fid, packet.seq, n, packet.flags,
+                                 *values)
 
 
-def decode_packet(data: bytes) -> CheetahPacket:
-    """Parse a data packet; raises :class:`WireFormatError` on junk."""
-    if len(data) < _HEADER.size:
-        raise WireFormatError(
-            f"packet too short: {len(data)} bytes < header {_HEADER.size}"
-        )
-    fid, seq, n, flags = _HEADER.unpack_from(data)
-    expected = _HEADER.size + 8 * n
-    if len(data) != expected:
-        raise WireFormatError(
-            f"length mismatch: header says {n} values ({expected} bytes), "
-            f"got {len(data)} bytes"
-        )
-    values = (_value_struct(n).unpack_from(data, _HEADER.size)
-              if n else ())
-    return CheetahPacket(fid=fid, seq=seq, values=values, flags=flags)
+def encode_stream(fid: int, entries: Sequence[Tuple[int, ...]],
+                  per_packet: int = 1) -> List[bytes]:
+    """A worker's whole stream as wire frames, FIN included.
+
+    Byte-identical to ``[encode_packet(p) for p in
+    packets_for_entries(fid, entries, per_packet)]`` (property-tested)
+    without building the packets: frame ``seq`` carries the values of
+    entries ``seq * per_packet ...`` and the last frame is the empty
+    FIN.  Validation is :class:`CheetahPacket`'s — ``fid`` 16 bits,
+    every ``seq`` 32 bits, at most 255 values per frame, every value
+    64 bits — raising ``ValueError`` the same way.
+    """
+    if per_packet < 1:
+        raise ValueError(f"per_packet must be >= 1, got {per_packet}")
+    if not 0 <= fid < 1 << 16:
+        raise ValueError(f"fid must fit 16 bits, got {fid}")
+    fin_seq = -(-len(entries) // per_packet)
+    if fin_seq >= 1 << 32:
+        raise ValueError(f"seq must fit 32 bits, got {fin_seq}")
+    if per_packet == 1:
+        groups = entries
+    else:
+        groups = [tuple(v for entry in entries[start:start + per_packet]
+                        for v in entry)
+                  for start in range(0, len(entries), per_packet)]
+    frames = []
+    append = frames.append
+    width = pack = None
+    try:
+        for seq, values in enumerate(groups):
+            n = len(values)
+            if n != width:
+                pack = _frame_struct(n).pack
+                width = n
+            append(pack(fid, seq, n, 0, *values))
+    except struct.error:
+        for v in values:
+            if not 0 <= v < 1 << VALUE_BITS:
+                raise ValueError(
+                    f"value {v} does not fit {VALUE_BITS} bits") from None
+        raise
+    append(_HEADER.pack(fid, fin_seq, 0, FIN_FLAG))
+    return frames
 
 
 def decode_header(data: bytes):
@@ -135,31 +168,38 @@ def decode_header(data: bytes):
 
     The full frame length is validated here even though only the header
     is parsed: a frame accepted by the fast path must be decodable by
-    :func:`decode_values` later — the two validations are deliberately
-    the same predicate as :func:`decode_packet`'s, so header-then-values
-    and whole-packet parses accept exactly the same byte strings
-    (property-tested in ``tests/test_wire_codec.py``).
+    :func:`decode_values` later, and :func:`decode_packet` validates
+    through this function, so header-then-values and whole-packet parses
+    accept exactly the same byte strings (property-tested in
+    ``tests/test_wire_codec.py``).
     """
     if len(data) < _HEADER.size:
         raise WireFormatError(
             f"packet too short: {len(data)} bytes < header {_HEADER.size}"
         )
     fid, seq, n, flags = _HEADER.unpack_from(data)
-    if len(data) != _HEADER.size + 8 * n:
+    expected = _HEADER.size + 8 * n
+    if len(data) != expected:
         raise WireFormatError(
-            f"length mismatch: header says {n} values, got "
-            f"{len(data)} bytes"
+            f"length mismatch: header says {n} values ({expected} bytes), "
+            f"got {len(data)} bytes"
         )
     return fid, seq, n, flags
+
+
+def decode_packet(data: bytes) -> CheetahPacket:
+    """Parse a data packet; raises :class:`WireFormatError` on junk."""
+    fid, seq, n, flags = decode_header(data)
+    values = _value_struct(n).unpack(data) if n else ()
+    return CheetahPacket(fid=fid, seq=seq, values=values, flags=flags)
 
 
 def decode_values(data: bytes, n: int):
     """Parse the ``n`` 64-bit values behind a header-checked packet.
 
     Bounds-checked: a buffer shorter than the claimed ``n`` values
-    raises :class:`WireFormatError` (never a raw ``struct.error`` —
-    callers that pass an unvalidated ``n`` still get the documented
-    taxonomy).
+    raises :class:`WireFormatError`, never a raw ``struct.error``, even
+    for an unvalidated ``n``.
     """
     if not n:
         return ()
@@ -168,16 +208,12 @@ def decode_values(data: bytes, n: int):
             f"value payload too short: header claims {n} values "
             f"({_HEADER.size + 8 * n} bytes), got {len(data)} bytes"
         )
-    return _value_struct(n).unpack_from(data, _HEADER.size)
+    return _value_struct(n).unpack_from(data)
 
 
 # ---------------------------------------------------------------------------
-# Bulk (vectorized) codec
+# Stream (vectorized) codec
 # ---------------------------------------------------------------------------
-
-def _no_numba() -> bool:
-    return bool(os.environ.get("REPRO_NO_NUMBA"))
-
 
 def _numpy_header_fields(words, starts):
     """Vectorized header-field split of the frames' first words."""
@@ -192,7 +228,7 @@ def _numpy_header_fields(words, starts):
 _header_fields = _numpy_header_fields
 
 try:  # pragma: no cover - exercised only where numba is installed
-    if not _no_numba():
+    if not os.environ.get("REPRO_NO_NUMBA"):
         from numba import njit
 
         @njit(cache=True)
@@ -215,189 +251,93 @@ except ImportError:
     pass
 
 
-def _bulk_words(datas: Sequence[bytes]):
-    """Join a batch of frames into one word array.
-
-    Returns ``(words, starts, lens)`` where ``words`` is the uint64
-    view of the joined buffer, ``starts[i]`` the word index of frame
-    ``i``'s header word, and ``lens[i]`` its byte length.  Raises
-    :class:`WireFormatError` when any frame is short of a header or not
-    a whole number of 64-bit words (both imply the per-frame validation
-    would fail too, so no malformed frame sneaks past the bulk tier).
-    """
-    lens = np.fromiter((len(d) for d in datas), dtype=np.int64,
-                       count=len(datas))
-    if lens.size and int(lens.min()) < _HEADER.size:
-        bad = int(np.argmin(lens))
-        raise WireFormatError(
-            f"packet too short: {int(lens[bad])} bytes < header "
-            f"{_HEADER.size}"
-        )
-    if lens.size and int((lens % 8 != 0).sum()):
-        bad = int(np.argmax(lens % 8 != 0))
-        raise WireFormatError(
-            f"length mismatch: frame {bad} is {int(lens[bad])} bytes, "
-            f"not a whole number of 64-bit words"
-        )
-    joined = b"".join(datas)
-    # The 8-byte header keeps every frame a multiple of 8 bytes, so the
-    # join is word-aligned: one frombuffer covers headers and values.
-    words = np.frombuffer(joined, dtype=">u8").astype(np.uint64,
-                                                      copy=False)
-    starts = np.empty(lens.size, dtype=np.int64)
-    if lens.size:
-        starts[0] = 0
-        np.cumsum(lens[:-1] // 8, out=starts[1:])
-    return words, starts, lens
-
-
 def decode_header_fields(
         datas: Sequence[bytes]) -> Tuple[List[int], List[int],
                                          List[int], List[int]]:
     """Column-oriented bulk header decode: ``(fids, seqs, ns, flags)``.
 
-    The fastest tier of the header fast path: the per-packet *tuple*
-    materialization that :func:`decode_header_batch` still pays (one
-    ``zip`` tuple per frame) is what actually dominates bulk header
-    decoding, so returning four parallel columns instead is ~3x faster
-    than either per-packet ``struct`` calls or tuple-batched decode on
-    large batches.  Validation is identical to :func:`decode_header`
-    per frame — any malformed frame raises :class:`WireFormatError` —
-    and ``zip(*decode_header_fields(datas))`` equals
-    ``[decode_header(d) for d in datas]`` (property-tested).  Small
-    batches fall back to the cached per-packet structs.
+    The header fast path of the stream tier: the batch is joined and its
+    header words split with one ``np.frombuffer``; four parallel columns
+    instead of per-packet tuples make it ~3x faster than per-packet
+    ``struct`` calls on large batches.  ``zip(*decode_header_fields(ds))``
+    equals ``[decode_header(d) for d in ds]`` (property-tested), and a
+    frame :func:`decode_header` rejects raises the same
+    :class:`WireFormatError` here.
     """
-    if len(datas) < _BULK_MIN_BATCH:
-        if not datas:
-            return [], [], [], []
-        fids, seqs, ns, flags = zip(*(decode_header(d) for d in datas))
-        return list(fids), list(seqs), list(ns), list(flags)
-    words, starts, lens = _bulk_words(datas)
-    fids, seqs, ns, flags = _header_fields(words, starts)
-    expected = 8 * ns.astype(np.int64) + _HEADER.size
-    if bool((expected != lens).any()):
-        bad = int(np.argmax(expected != lens))
+    if len(datas) >= _BULK_MIN_BATCH:
+        lens = np.fromiter(map(len, datas), dtype=np.int64,
+                           count=len(datas))
+        if int(lens.min()) >= _HEADER.size and not (lens % 8).any():
+            # Whole 64-bit words only, so the join is word-aligned and
+            # frame i's header sits at the word offset of the frames
+            # before it.
+            words = np.frombuffer(b"".join(datas), dtype=">u8").astype(
+                np.uint64, copy=False)
+            starts = np.zeros(lens.size, dtype=np.int64)
+            np.cumsum(lens[:-1] // 8, out=starts[1:])
+            fids, seqs, ns, flags = _header_fields(words, starts)
+            if (8 * ns.astype(np.int64) + _HEADER.size == lens).all():
+                return (fids.tolist(), seqs.tolist(), ns.tolist(),
+                        flags.tolist())
+    # Small batches loop the per-packet structs — and so does a batch
+    # with a malformed frame, which the per-packet validator rejects.
+    if not datas:
+        return [], [], [], []
+    fids, seqs, ns, flags = zip(*map(decode_header, datas))
+    return list(fids), list(seqs), list(ns), list(flags)
+
+
+def decode_values_run(datas: Sequence[bytes],
+                      ns: Sequence[int]) -> List[tuple]:
+    """Values of a run of header-checked frames, decoded together.
+
+    ``[decode_values(d, n) for d, n in zip(datas, ns)]`` — same tuples,
+    same :class:`WireFormatError` on a short payload — but when every
+    frame carries the same ``n`` values (always true for the fresh
+    packets of one wire pass) the run is joined and split by a single
+    ``Struct(">8x{n}Q").iter_unpack``.  Ragged runs, and any frame
+    whose length is not exactly its claimed width, take the per-frame
+    path, so the taxonomy is :func:`decode_values`'s by construction.
+    """
+    if datas:
+        n = ns[0]
+        if (0 < n <= MAX_VALUES and ns.count(n) == len(datas)
+                and set(map(len, datas)) == {_HEADER.size + 8 * n}):
+            return list(_value_struct(n).iter_unpack(b"".join(datas)))
+    return [decode_values(data, n) for data, n in zip(datas, ns)]
+
+
+def pack_ack(fid: int, seq: int, code: int) -> bytes:
+    """Serialize an ACK from its three ints (``code`` is
+    :data:`ACK_MASTER` or :data:`ACK_SWITCH`); fields that do not fit
+    the layout raise ``ValueError`` like :class:`Ack` does."""
+    try:
+        return _ACK.pack(fid, seq, code)
+    except struct.error:
+        raise ValueError(
+            f"ACK fields do not fit the wire layout: fid={fid} "
+            f"seq={seq} code={code}") from None
+
+
+def unpack_ack(data: bytes) -> Tuple[int, int, int]:
+    """Parse an ACK into ``(fid, seq, code)``; raises
+    :class:`WireFormatError` on a bad length or unknown kind code."""
+    try:
+        ack = _ACK.unpack(data)
+    except struct.error:
         raise WireFormatError(
-            f"length mismatch: header says {int(ns[bad])} values, got "
-            f"{int(lens[bad])} bytes"
-        )
-    return fids.tolist(), seqs.tolist(), ns.tolist(), flags.tolist()
-
-
-def decode_header_batch(datas: Sequence[bytes]) -> List[Tuple]:
-    """Bulk :func:`decode_header`: one vectorized parse per batch.
-
-    Semantically ``[decode_header(d) for d in datas]`` — same tuples,
-    same :class:`WireFormatError` on any malformed frame — but the
-    whole batch is joined and split with numpy instead of one
-    ``struct`` call per packet.  Small batches fall back to the cached
-    per-packet structs (bit-identical, just cheaper at that size).
-    Callers that do not need per-packet tuples should prefer
-    :func:`decode_header_fields`, which skips the tuple zip.
-    """
-    if len(datas) < _BULK_MIN_BATCH:
-        return [decode_header(data) for data in datas]
-    return list(zip(*decode_header_fields(datas)))
-
-
-def decode_packet_batch(datas: Sequence[bytes]) -> List[CheetahPacket]:
-    """Bulk :func:`decode_packet` over a batch of frames.
-
-    One ``np.frombuffer`` decodes every header *and* every value word;
-    per-packet value tuples are sliced out of the shared word list.
-    Bit-identical to the per-packet decoder (property-tested), raising
-    the same :class:`WireFormatError` taxonomy on malformed frames.
-    """
-    if len(datas) < _BULK_MIN_BATCH:
-        return [decode_packet(data) for data in datas]
-    headers = decode_header_batch(datas)
-    words, starts, _lens = _bulk_words(datas)
-    values = words.tolist()
-    packets = []
-    for (fid, seq, n, flags), start in zip(headers, starts.tolist()):
-        payload = tuple(values[start + 1:start + 1 + n]) if n else ()
-        packets.append(CheetahPacket(fid=fid, seq=seq, values=payload,
-                                     flags=flags))
-    return packets
-
-
-def encode_packet_batch(packets: Sequence[CheetahPacket]) -> List[bytes]:
-    """Bulk :func:`encode_packet`: one array op builds every frame.
-
-    The batch's headers and values are written into a single uint64
-    buffer (big-endian on the way out) and sliced into per-packet
-    byte strings — byte-identical to per-packet encoding.
-    """
-    if len(packets) < _BULK_MIN_BATCH:
-        return [encode_packet(packet) for packet in packets]
-    counts = [len(packet.values) for packet in packets]
-    if counts and (min(counts) < 0 or max(counts) > 0xFF):
-        raise WireFormatError(
-            f"value count must fit the 1-byte header field, got "
-            f"{max(counts)}")
-    word_counts = np.asarray(counts, dtype=np.int64) + 1
-    starts = np.empty(word_counts.size, dtype=np.int64)
-    starts[0] = 0
-    np.cumsum(word_counts[:-1], out=starts[1:])
-    total = int(starts[-1] + word_counts[-1])
-    words = np.empty(total, dtype=np.uint64)
-    flat: List[int] = []
-    header_words = []
-    for packet, n in zip(packets, counts):
-        header_words.append((packet.fid << 48) | (packet.seq << 16)
-                            | (n << 8) | packet.flags)
-        flat.extend(packet.values)
-    mask = np.ones(total, dtype=bool)
-    mask[starts] = False
-    words[starts] = np.asarray(header_words, dtype=np.uint64)
-    if flat:
-        words[mask] = np.asarray(flat, dtype=np.uint64)
-    buffer = words.astype(">u8").tobytes()
-    out = []
-    for start, count in zip(starts.tolist(), word_counts.tolist()):
-        out.append(buffer[8 * start:8 * (start + count)])
-    return out
-
-
-def decode_values_batch(datas: Sequence[bytes],
-                        ns: Sequence[int]) -> List[tuple]:
-    """Bulk :func:`decode_values` for header-checked frames.
-
-    ``ns`` carries each frame's claimed value count (usually from
-    :func:`decode_header_batch`); short payloads raise
-    :class:`WireFormatError` exactly like the scalar path.
-    """
-    if len(datas) < _BULK_MIN_BATCH:
-        return [decode_values(data, n) for data, n in zip(datas, ns)]
-    words, starts, lens = _bulk_words(datas)
-    counts = np.asarray(ns, dtype=np.int64)
-    expected = 8 * counts + _HEADER.size
-    if bool((counts < 0).any()) or bool((lens < expected).any()):
-        bad = int(np.argmax((counts < 0) | (lens < expected)))
-        raise WireFormatError(
-            f"value payload too short: header claims {int(counts[bad])} "
-            f"values ({int(expected[bad])} bytes), got {int(lens[bad])} "
-            f"bytes"
-        )
-    values = words.tolist()
-    return [tuple(values[start + 1:start + 1 + n]) if n else ()
-            for start, n in zip(starts.tolist(), counts.tolist())]
+            f"ACK must be {_ACK.size} bytes, got {len(data)}") from None
+    if ack[2] not in _ACK_KIND_FROM:
+        raise WireFormatError(f"unknown ACK kind code {ack[2]}")
+    return ack
 
 
 def encode_ack(ack: Ack) -> bytes:
     """Serialize an ACK."""
-    return _ACK.pack(ack.fid, ack.seq, _ACK_KIND_CODE[ack.kind])
+    return pack_ack(ack.fid, ack.seq, _ACK_KIND_CODE[ack.kind])
 
 
 def decode_ack(data: bytes) -> Ack:
     """Parse an ACK."""
-    if len(data) != _ACK.size:
-        raise WireFormatError(
-            f"ACK must be {_ACK.size} bytes, got {len(data)}"
-        )
-    fid, seq, kind_code = _ACK.unpack(data)
-    try:
-        kind = _ACK_KIND_FROM[kind_code]
-    except KeyError:
-        raise WireFormatError(f"unknown ACK kind code {kind_code}") from None
-    return Ack(fid=fid, seq=seq, kind=kind)
+    fid, seq, code = unpack_ack(data)
+    return Ack(fid=fid, seq=seq, kind=_ACK_KIND_FROM[code])

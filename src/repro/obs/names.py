@@ -97,11 +97,12 @@ COUNTER_QUEUE_DEPTH = SCHED_QUEUE_DEPTH
 KERNEL_ENCODE = "encode_packet"
 KERNEL_DECODE_HEADER = "decode_header"
 KERNEL_DECODE_VALUES = "decode_values"
+KERNEL_ACK = "ack_codec"
 KERNEL_OFFER = "offer_batch"
 
 #: Canonical key order of the codec-pipeline kernel entries.
 PROFILE_KERNEL_KEYS = (KERNEL_ENCODE, KERNEL_DECODE_HEADER,
-                       KERNEL_DECODE_VALUES, KERNEL_OFFER)
+                       KERNEL_DECODE_VALUES, KERNEL_ACK, KERNEL_OFFER)
 
 #: Pre-PR-10 profile payloads abbreviated two kernel keys; renderers
 #: accept both spellings so checked-in artifacts keep rendering.

@@ -61,10 +61,16 @@ class _Connection:
     def send(self, message: Dict) -> None:
         """Queue one frame on the socket buffer (never raises: a peer
         that vanished mid-session just stops receiving results)."""
+        if not self.closed:
+            self.write(protocol.encode_frame(message))
+
+    def write(self, frame: bytes) -> None:
+        """Queue one already-encoded frame (same contract as
+        :meth:`send`)."""
         if self.closed:
             return
         try:
-            self.writer.write(protocol.encode_frame(message))
+            self.writer.write(frame)
         except (ConnectionError, RuntimeError):
             self.closed = True
 
@@ -243,7 +249,7 @@ class ReproServer:
                 if kind == "submit":
                     self._enqueue_submit(message, conn)
                 elif kind == "stats":
-                    conn.send(self._telemetry_frame())
+                    conn.write(self._telemetry_frame())
                 elif kind == "bye":
                     conn.send({"type": "goodbye"})
                     break
@@ -310,13 +316,17 @@ class ReproServer:
         self._inbox.append((message, conn))
         self._wake.set()
 
-    def _telemetry_frame(self) -> Dict:
-        """The ``stats`` reply: the quick loop summary plus the full
-        metrics snapshot (docs/PROTOCOL.md §4).  The ``metrics`` field
-        rides on proto/v1's must-ignore-unknown-fields rule, so v1
-        clients that predate it keep working unchanged."""
+    def _telemetry_frame(self) -> bytes:
+        """The encoded ``stats`` reply: the quick loop summary plus the
+        full metrics snapshot (docs/PROTOCOL.md §4).  The ``metrics``
+        field rides on proto/v1's must-ignore-unknown-fields rule, so
+        v1 clients that predate it keep working unchanged.  The
+        snapshot grows with every tenant ever polled; once it no
+        longer fits a frame the reply carries the summary alone,
+        marked ``metrics_truncated``, instead of killing the
+        connection that asked."""
         core = self._core
-        return {
+        summary = {
             "type": "telemetry",
             "tick": core.tick,
             "active": len(core.active),
@@ -327,8 +337,13 @@ class ReproServer:
             "occupancy": sum(run.spec.slots for run in core.active),
             "slots": self.config.slots,
             "policy": self.config.policy.name,
-            "metrics": self.obs.registry.snapshot(),
         }
+        try:
+            return protocol.encode_frame(
+                dict(summary, metrics=self.obs.registry.snapshot()))
+        except protocol.ProtocolError:
+            return protocol.encode_frame(
+                dict(summary, metrics_truncated=True))
 
     # -- reactor ---------------------------------------------------------------
 

@@ -62,7 +62,10 @@ def hash64(value: HashableValue, seed: int = 0) -> int:
     Distinct seeds give (empirically) independent functions, which is what
     the Bloom filter / Count-Min analyses require.
     """
-    return _splitmix64(_to_int(value) ^ _splitmix64(seed))
+    # Plain ints (the common case on the dataplane) skip the isinstance
+    # chain: ``& _MASK64`` is _to_int's two's-complement mapping.
+    x = value & _MASK64 if type(value) is int else _to_int(value)
+    return _splitmix64(x ^ _splitmix64(seed))
 
 
 def fingerprint_bits(value: HashableValue, bits: int, seed: int = 0x5EED) -> int:
@@ -99,6 +102,8 @@ class HashFamily:
         self.range_size = range_size
         self.seed = seed
         self._seeds = [_splitmix64(seed + i * 0x9E3779B9) for i in range(k)]
+        #: ``hash64``'s seed mix, done once instead of on every call.
+        self._mixed = [_splitmix64(s) for s in self._seeds]
 
     def __call__(self, value: HashableValue, i: int) -> int:
         """Value of the ``i``-th function on ``value``."""
@@ -106,7 +111,10 @@ class HashFamily:
 
     def all(self, value: HashableValue) -> Sequence[int]:
         """All ``k`` hash values for ``value`` (Bloom insert/query path)."""
-        return [hash64(value, s) % self.range_size for s in self._seeds]
+        x = value & _MASK64 if type(value) is int else _to_int(value)
+        range_size = self.range_size
+        return [_splitmix64(x ^ mixed) % range_size
+                for mixed in self._mixed]
 
     def all_batch(self, values):
         """Per-function index arrays for a whole batch of values.

@@ -64,6 +64,46 @@ class TestTable:
         with pytest.raises(KeyError):
             products_table.append({"name": "X"})
 
+    def test_rows_match_row_by_index(self, products_table):
+        rows = list(products_table.rows())
+        assert rows == [products_table.row(i)
+                        for i in range(len(products_table))]
+        assert [list(row) for row in rows] == \
+            [products_table.column_names] * len(rows)
+        empty = Table("t", [("a", ColumnType.INT)])
+        assert list(empty.rows()) == []
+
+    def test_extend_matches_append(self):
+        schema = [("k", ColumnType.INT), ("v", ColumnType.FLOAT),
+                  ("s", ColumnType.STR)]
+        rows = [{"k": 1, "v": 2, "s": "a", "extra": None},
+                {"s": "b", "v": 0.5, "k": 3.0}]
+        bulk, one_by_one = Table("t", schema), Table("t", schema)
+        bulk.extend(iter(rows))
+        for row in rows:
+            one_by_one.append(row)
+        assert list(bulk.rows()) == list(one_by_one.rows()) == [
+            {"k": 1, "v": 2.0, "s": "a"}, {"k": 3, "v": 0.5, "s": "b"}]
+        assert [type(v) for v in bulk.row(1).values()] == [int, float, str]
+
+    @pytest.mark.parametrize("bad, error", [
+        ({"k": 1, "s": "a"}, KeyError),
+        ({"k": True, "v": 1.0, "s": "a"}, TypeError),
+        ({"k": 1, "v": "x", "s": "a"}, TypeError),
+        ({"k": 1, "v": 1.0, "s": 7}, TypeError),
+    ])
+    def test_extend_rejects_what_append_rejects(self, bad, error):
+        schema = [("k", ColumnType.INT), ("v", ColumnType.FLOAT),
+                  ("s", ColumnType.STR)]
+        good = {"k": 1, "v": 1.0, "s": "a"}
+        with pytest.raises(error) as appended:
+            Table("t", schema).append(bad)
+        table = Table("t", schema)
+        with pytest.raises(error) as extended:
+            table.extend([good, bad, good])
+        assert str(extended.value) == str(appended.value)
+        assert len(table) == 0
+
     def test_select_columns(self, products_table):
         projected = products_table.select_columns(["price"])
         assert projected.column_names == ["price"]

@@ -5,6 +5,8 @@ import math
 import pytest
 
 from repro.sketches.hashing import (
+    _splitmix64,
+    _to_int,
     HashFamily,
     fingerprint_bits,
     hash64,
@@ -94,6 +96,24 @@ class TestHashFamily:
             1 for i in range(100) if family(i, 0) != family(i, 1)
         )
         assert differing > 95
+
+    @pytest.mark.parametrize("value", [
+        0, 1, -1, 12345, -(1 << 63), (1 << 64) - 1, 1 << 64, -(1 << 70),
+        True, False, 2.5, "seller", b"raw", (3, "x", -4),
+    ])
+    def test_premixed_seeds_are_bit_identical(self, value):
+        """The seed mix is hoisted out of the per-call path and plain
+        ints skip ``_to_int``: same bits as the defining formula."""
+        family = HashFamily(k=4, range_size=(1 << 31) - 1, seed=77)
+        expected = [
+            _splitmix64(_to_int(value) ^ _splitmix64(seed))
+            % family.range_size
+            for seed in family._seeds
+        ]
+        assert family.all(value) == expected
+        assert [family(value, i) for i in range(4)] == expected
+        assert [hash64(value, seed) % family.range_size
+                for seed in family._seeds] == expected
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

@@ -326,6 +326,44 @@ class TestProtocolEdges:
 
         asyncio.run(scenario())
 
+    def test_oversized_stats_reply_keeps_the_connection(self):
+        """Regression: once the registry snapshot outgrew
+        ``MAX_FRAME_BYTES``, ``encode_frame`` raised inside the
+        connection handler and the asking client was disconnected."""
+        async def scenario():
+            server = ReproServer(SchedulerConfig(slots=2))
+            await server.start()
+            client = await self._open(server)
+            before = await client.stats()
+            assert "metrics" in before
+            assert "metrics_truncated" not in before
+            # What ~1200 polled tenants leave behind, in one go.
+            inflated = server.obs.registry.counter(
+                "test_inflated_total", "Per-tenant samples.", ["tenant"])
+            for index in range(protocol.MAX_FRAME_BYTES // 32):
+                inflated.inc(tenant=f"tenant-{index:08d}")
+            with pytest.raises(ProtocolError):
+                encode_frame({"type": "telemetry",
+                              "metrics": server.obs.registry.snapshot()})
+            stats = await client.stats()
+            assert stats["metrics_truncated"] is True
+            assert "metrics" not in stats
+            assert {key: stats[key] for key in ("type", "slots", "policy",
+                                                "finished", "tick")} == \
+                {key: before[key] for key in ("type", "slots", "policy",
+                                              "finished", "tick")}
+            # The same connection is still served.
+            for tenant in ("after-1", "after-2"):
+                await client.submit("topn", tenant=tenant, rows=40)
+                result = await client.result(tenant)
+                assert result["status"] == "served"
+                assert result["equivalent"] is True
+            assert (await client.stats())["finished"] == 2
+            await client.close()
+            await server.stop()
+
+        asyncio.run(scenario())
+
 
 class TestProtocolUnit:
     def test_frame_roundtrip_is_byte_stable(self):
