@@ -5,7 +5,7 @@ Usage::
 
     python scripts/check_docs.py
 
-Three checks, all over the repository this script lives in:
+Four checks, all over the repository this script lives in:
 
 1. **Doctests** — every module under ``src/repro`` whose source contains
    a ``>>>`` example is imported and run through :mod:`doctest`.
@@ -16,6 +16,10 @@ Three checks, all over the repository this script lives in:
 3. **Results freshness** — ``docs/RESULTS.md`` must match what
    ``scripts/render_results.py`` renders from the checked-in
    ``results/BENCH_*.json`` files.
+4. **CLI flags** — every ``--flag`` in a backticked ``repro <subcommand>
+   …`` command (inline code spans and fenced code-block lines) in
+   ``README.md`` and ``docs/*.md`` must be an option of that
+   subcommand's parser in :mod:`repro.cli`.
 
 Exits non-zero on any failure; CI runs this as the ``docs`` job.
 """
@@ -33,6 +37,14 @@ SRC_ROOT = REPO_ROOT / "src"
 
 #: [text](target) — target captured; images (![...]) match too.
 _LINK = re.compile(r"\]\(([^)\s]+)\)")
+
+#: Inline code span; fenced blocks are read line by line instead.
+_CODE_SPAN = re.compile(r"`([^`\n]+)`")
+#: ``repro <subcommand>`` and the rest of that shell command.
+_REPRO_COMMAND = re.compile(r"(?<![\w./-])repro\s+([a-z][\w-]*)(.*)")
+_FLAG = re.compile(r"(?<![\w-])--[a-z][\w-]*")
+#: Where one shell command ends and the next begins.
+_COMMAND_END = re.compile(r"\s(?:#|&&|\|\|?|;|>)")
 
 
 def doctest_modules() -> list:
@@ -86,6 +98,69 @@ def check_links() -> int:
     return failures
 
 
+def cli_options() -> dict:
+    """Subcommand -> the option strings its ``repro.cli`` parser takes."""
+    import argparse
+
+    from repro.cli import build_parser
+
+    for action in build_parser()._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return {name: set(child._option_string_actions)
+                    for name, child in action.choices.items()}
+    return {}
+
+
+def doc_commands(text: str) -> list:
+    """Backticked text: inline code spans, and fenced code-block lines
+    with ``\\`` continuations joined."""
+    commands, fenced, pending = [], False, ""
+    for line in text.splitlines():
+        if line.lstrip().startswith("```"):
+            fenced = not fenced
+        elif fenced:
+            pending += line.strip()
+            if pending.endswith("\\"):
+                pending = pending[:-1]
+            else:
+                commands.append(pending)
+                pending = ""
+        else:
+            commands += _CODE_SPAN.findall(line)
+    return commands
+
+
+def check_cli_flags(files=None) -> int:
+    """Every ``--flag`` of a documented ``repro <subcommand>`` command
+    must be an option of that subcommand."""
+    known = cli_options()
+    files = markdown_docs() if files is None else files
+    checked = failures = 0
+    for md in files:
+        for command in doc_commands(pathlib.Path(md).read_text(
+                encoding="utf-8")):
+            match = _REPRO_COMMAND.search(command)
+            if match is None:
+                continue
+            checked += 1
+            name, rest = match.groups()
+            rest = _COMMAND_END.split(rest, 1)[0]
+            for flag in _FLAG.findall(rest):
+                if name in known and flag in known[name]:
+                    continue
+                print(f"UNKNOWN FLAG in {md}: `repro {name} … {flag}`")
+                failures += 1
+    print(f"cli flags: checked {checked} repro commands in {len(files)} "
+          f"markdown files, {failures} unknown")
+    return failures
+
+
+def markdown_docs() -> list:
+    """The user-facing docs: ``README.md`` and ``docs/*.md``."""
+    return ([REPO_ROOT / "README.md"]
+            + sorted((REPO_ROOT / "docs").glob("*.md")))
+
+
 def check_results_freshness() -> int:
     """``docs/RESULTS.md`` must be regenerable byte-for-byte from the
     checked-in bench JSONs (see ``scripts/render_results.py --check``)."""
@@ -97,7 +172,8 @@ def check_results_freshness() -> int:
 
 def main() -> int:
     sys.path.insert(0, str(SRC_ROOT))
-    failures = run_doctests() + check_links() + check_results_freshness()
+    failures = (run_doctests() + check_links() + check_results_freshness()
+                + check_cli_flags())
     if failures:
         print(f"docs check FAILED ({failures} problems)")
         return 1

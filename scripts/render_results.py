@@ -142,9 +142,8 @@ def _fig11_section(payload) -> str:
                   "pruned frac", "decisions equivalent"], rows)
         + "\n\nOverall speedup at the largest row count: "
         f"**{_fmt(payload['overall_speedup_at_largest'], 1)}x** "
-        f"(all decisions equivalent: `{payload['all_equivalent']}`; "
-        "batched shards on a process pool: "
-        f"`{payload.get('parallel_shards', False)}`).  The "
+        f"(all decisions equivalent: `{payload['all_equivalent']}`).  "
+        "The "
         "`decision_domain` block of the JSON carries only "
         "deterministic fields — per-prefix prune counts and SHA-256 "
         "decision digests — which CI asserts byte-identical across "
@@ -671,7 +670,7 @@ def _obs_section(payload) -> str:
 
 
 def _kernel_names():
-    """The canonical kernel-key spellings and the legacy aliases.
+    """The canonical kernel-key spellings.
 
     Sourced from ``repro.obs.names`` when importable (the single
     naming convention), with an identical inline fallback so the
@@ -680,11 +679,10 @@ def _kernel_names():
         sys.path.insert(0, str(REPO_ROOT / "src"))
         from repro.obs import names
 
-        return names.PROFILE_KERNEL_KEYS, dict(names.LEGACY_KERNEL_KEYS)
+        return names.PROFILE_KERNEL_KEYS
     except ImportError:  # pragma: no cover - bare checkout
-        return (("encode_packet", "decode_header", "decode_values",
-                 "ack_codec", "offer_batch"),
-                {"encode": "encode_packet", "offer": "offer_batch"})
+        return ("encode_packet", "decode_header", "decode_values",
+                "ack_codec", "offer_batch")
 
 
 def _profile_section() -> str:
@@ -692,8 +690,7 @@ def _profile_section() -> str:
     if payload is None:
         return None
     codec = payload["codec_pipeline"]
-    kernel_keys, legacy = _kernel_names()
-    aliases = {canonical: alias for alias, canonical in legacy.items()}
+    kernel_keys = _kernel_names()
     labels = {
         "encode_packet": "encode_packet(CheetahPacket) / encode_stream",
         "decode_header": "decode_header / decode_header_fields",
@@ -703,8 +700,7 @@ def _profile_section() -> str:
     }
     kernel_rows = []
     for key in kernel_keys:
-        # Checked-in payloads may predate the canonical spelling.
-        entry = codec.get(key) or codec[aliases.get(key, key)]
+        entry = codec[key]
         bulk = entry.get("bulk_seconds", entry.get("batched_seconds"))
         speedup = entry.get("bulk_speedup", entry.get("batched_speedup"))
         kernel_rows.append({

@@ -25,8 +25,7 @@ server speak in these terms:
   with one type.
 * :func:`run_scenario` — a single-tenant end-to-end run through the
   simulated cluster (the ``repro run <scenario> --loss`` path),
-  without constructing :class:`ClusterSimulation` drivers directly
-  (deprecated — see ``repro.cluster.__getattr__``).
+  without constructing :class:`ClusterSimulation` drivers directly.
 * :func:`connect` / :func:`connect_async` — socket clients to a
   running ``repro serve --listen``.
 """
@@ -289,8 +288,7 @@ def run_scenario(name: str, *, rows: int = 1200, seed: int = 0,
                  reorder: int = 0, shards: int = 1,
                  pipelined: bool = True, check: bool = True,
                  congestion: str = "fixed",
-                 queue_capacity: Optional[int] = None,
-                 parallel_shards: bool = False):
+                 queue_capacity: Optional[int] = None):
     """One scenario end-to-end through the simulated cluster.
 
     This is the facade over single-tenant
@@ -299,9 +297,7 @@ def run_scenario(name: str, *, rows: int = 1200, seed: int = 0,
     :class:`~repro.cluster.simulation.SimulationReport`.
     ``congestion``/``queue_capacity`` select the transport mode
     (``docs/CONGESTION.md``); results are byte-identical either way,
-    only the protocol accounting moves.  ``parallel_shards`` executes
-    the K shard pruners on a process pool
-    (``docs/PERFORMANCE.md``) — again bit-identical results.
+    only the protocol accounting moves.
     """
     from repro.cluster.simulation import (
         ClusterSimulation,
@@ -314,8 +310,7 @@ def run_scenario(name: str, *, rows: int = 1200, seed: int = 0,
                               reorder_window=reorder, shards=shards,
                               seed=seed, pipelined=pipelined,
                               congestion=congestion,
-                              queue_capacity=queue_capacity,
-                              parallel_shards=parallel_shards)
+                              queue_capacity=queue_capacity)
     return ClusterSimulation(config).run(query, tables, check=check)
 
 

@@ -155,8 +155,7 @@ def _profile_codec_pipeline(rows: int, shards: int, batch_size: int,
                 "bulk_speedup": ratio(per_packet, bulk)}
 
     # Kernel entries are keyed by the profiled function's real name
-    # (repro.obs.names.PROFILE_KERNEL_KEYS); pre-PR-10 payloads used
-    # abbreviations — renderers map those via LEGACY_KERNEL_KEYS.
+    # (repro.obs.names.PROFILE_KERNEL_KEYS).
     return {
         "packets": len(frames),
         "bytes_on_wire": sum(len(frame) for frame in frames),

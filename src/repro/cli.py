@@ -172,8 +172,7 @@ def _run_e2e(names: List[str], args) -> int:
                     shards=args.shards,
                     pipelined=(mode == "pipelined"),
                     congestion=args.congestion,
-                    queue_capacity=args.queue_capacity,
-                    parallel_shards=args.parallel_shards)
+                    queue_capacity=args.queue_capacity)
             except ValueError as error:
                 # SimulationConfig bounds, SimulationError (bad rows,
                 # unsupported wire shapes, livelock): one-line
@@ -395,7 +394,6 @@ def _serve(args) -> int:
             seed=args.seed,
             congestion=args.congestion,
             queue_capacity=args.queue_capacity,
-            parallel_shards=args.parallel_shards,
             obs=_make_obs(args),
         )
     except ValueError as error:
@@ -516,7 +514,6 @@ def _replay(args) -> int:
             reorder_window=args.reorder, shards=shards, seed=args.seed,
             congestion=args.congestion,
             queue_capacity=args.queue_capacity,
-            parallel_shards=args.parallel_shards,
             obs=_make_obs(args))
         report = replay_trace(trace, config, apply_overrides=False,
                               chaos=chaos)
@@ -626,8 +623,7 @@ def _chaos(args) -> int:
             reorder_window=args.reorder, shards=args.shards,
             seed=args.seed,
             congestion=args.congestion,
-            queue_capacity=args.queue_capacity,
-            parallel_shards=args.parallel_shards)
+            queue_capacity=args.queue_capacity)
     except ValueError as error:
         print(f"repro chaos: {error}", file=sys.stderr)
         return 2
@@ -1100,12 +1096,10 @@ def _bench(args) -> int:
     elif args.name == "fig11":
         payload = run_fig11_scale_bench(rows=args.rows, shards=args.shards,
                                         batch_size=args.batch_size,
-                                        seed=args.seed,
-                                        parallel=args.parallel_shards)
+                                        seed=args.seed)
         path = emit_bench_json("fig11", payload, args.results_dir)
         largest = payload["row_counts"][-1]
-        print(f"fig11 scale bench: rows={largest} shards={args.shards}"
-              f"{' parallel' if args.parallel_shards else ''}")
+        print(f"fig11 scale bench: rows={largest} shards={args.shards}")
         for name, series in sorted(payload["algorithms"].items()):
             point = series[-1]
             print(f"  {name:10s} packet={point['packet_seconds']:.3f}s "
@@ -1236,10 +1230,6 @@ def _serving_flags(loss=None, shards=None, slots=None, policy=None,
                         help="switch ingress-queue slots per pipeline "
                         "(default: unbounded); finite queues tail-drop "
                         "and emit the AIMD congestion signal")
-    parent.add_argument("--parallel-shards", action="store_true",
-                        help="execute the K shard pruners on a process "
-                        "pool (one worker per shard); bit-identical "
-                        "decisions, K cores (docs/PERFORMANCE.md)")
     return parent
 
 
@@ -1303,8 +1293,8 @@ def _write_obs(obs, args, tick=None) -> None:
         print(f"  -> wrote spans {args.span_out}")
 
 
-def main(argv: List[str] = None) -> int:
-    """CLI dispatch."""
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser, every subcommand included."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Cheetah reproduction: regenerate the paper's "
@@ -1347,9 +1337,6 @@ def main(argv: List[str] = None) -> int:
                             metavar="N",
                             help="e2e: switch ingress-queue slots per "
                             "pipeline (default: unbounded)")
-    run_parser.add_argument("--parallel-shards", action="store_true",
-                            help="e2e: execute the K shard pruners on "
-                            "a process pool (docs/PERFORMANCE.md)")
 
     sql_parser = sub.add_parser("sql", help="run a demo SQL query "
                                 "through the Cheetah flow")
@@ -1597,8 +1584,12 @@ def main(argv: List[str] = None) -> int:
         "--span-out Chrome trace on stdout")
     dump_parser.add_argument("file", help="path to a .prom exposition "
                              "or a trace-event JSON")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: List[str] = None) -> int:
+    """CLI dispatch."""
+    args = build_parser().parse_args(argv)
     _configure_logging(args)
     if args.command == "list":
         for name in sorted(EXPERIMENTS):

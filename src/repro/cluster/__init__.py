@@ -52,29 +52,6 @@ from repro.cluster.events import (
 from repro.cluster.dag import DagEdge, DagNode, WorkerDag
 
 
-def __getattr__(name: str):
-    """Deprecation shim (PEP 562): driving :class:`ClusterSimulation`
-    directly from application code is superseded by the stable facade
-    ``repro.api`` (``Session``/``submit``/``run_scenario``).  The old
-    name keeps working — with a :class:`DeprecationWarning` — and the
-    canonical import ``repro.cluster.simulation.ClusterSimulation``
-    stays warning-free for internal and test code."""
-    if name == "ClusterSimulation":
-        import warnings
-
-        warnings.warn(
-            "importing ClusterSimulation from repro.cluster is "
-            "deprecated; use the stable facade repro.api "
-            "(Session/submit/run_scenario), or import it from "
-            "repro.cluster.simulation if you really need the driver",
-            DeprecationWarning, stacklevel=2)
-        from repro.cluster.simulation import ClusterSimulation
-
-        return ClusterSimulation
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "CostModel",
     "HARDWARE_PROFILES",
@@ -87,7 +64,6 @@ __all__ = [
     "SparkReport",
     "CheetahRuntime",
     "CheetahReport",
-    "ClusterSimulation",
     "SimulationConfig",
     "SimulationError",
     "SimulationReport",

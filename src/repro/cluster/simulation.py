@@ -156,12 +156,6 @@ class SimulationConfig:
     congestion: str = "fixed"
     queue_capacity: Optional[int] = None
     rate_weight: float = 1.0
-    #: Run each installed query's shard pruners on a process pool
-    #: (:class:`~repro.cluster.runtime.ProcessPoolShardExecutor`, K
-    #: worker processes for K shards).  Decisions, results, and
-    #: checkpoints are bit-identical to the serial facade; only
-    #: wall-clock moves.  No effect with ``shards=1``.
-    parallel_shards: bool = False
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -628,9 +622,7 @@ class ClusterSimulation:
         if self.config.shards > 1:
             return ShardedSwitchFrontend(self.planner.switch,
                                          self.config.shards,
-                                         seed=self.planner.seed,
-                                         parallel=self.config
-                                         .parallel_shards)
+                                         seed=self.planner.seed)
         return ControlPlane(self.planner.switch, seed=self.planner.seed)
 
     def _cworkers(self, table: Table) -> List[Tuple[CWorker, int]]:

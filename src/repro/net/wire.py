@@ -40,17 +40,11 @@ Two codec tiers share this layout:
   counterpart (``ValueError`` for unencodable fields,
   :class:`WireFormatError` for malformed bytes) and is byte-identical
   to it (property-tested).
-
-When numba is importable (an optional accelerator, never a requirement)
-the bulk header-field split runs through an ``@njit`` kernel;
-``REPRO_NO_NUMBA=1`` — or not having numba — takes the numpy path,
-bit-identical by construction.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 import struct
 from typing import List, Sequence, Tuple
 
@@ -215,42 +209,6 @@ def decode_values(data: bytes, n: int):
 # Stream (vectorized) codec
 # ---------------------------------------------------------------------------
 
-def _numpy_header_fields(words, starts):
-    """Vectorized header-field split of the frames' first words."""
-    first = words[starts]
-    fids = first >> np.uint64(48)
-    seqs = (first >> np.uint64(16)) & np.uint64(0xFFFFFFFF)
-    ns = (first >> np.uint64(8)) & np.uint64(0xFF)
-    flags = first & np.uint64(0xFF)
-    return fids, seqs, ns, flags
-
-
-_header_fields = _numpy_header_fields
-
-try:  # pragma: no cover - exercised only where numba is installed
-    if not os.environ.get("REPRO_NO_NUMBA"):
-        from numba import njit
-
-        @njit(cache=True)
-        def _numba_header_fields(words, starts):
-            count = starts.shape[0]
-            fids = np.empty(count, np.uint64)
-            seqs = np.empty(count, np.uint64)
-            ns = np.empty(count, np.uint64)
-            flags = np.empty(count, np.uint64)
-            for i in range(count):
-                word = words[starts[i]]
-                fids[i] = word >> np.uint64(48)
-                seqs[i] = (word >> np.uint64(16)) & np.uint64(0xFFFFFFFF)
-                ns[i] = (word >> np.uint64(8)) & np.uint64(0xFF)
-                flags[i] = word & np.uint64(0xFF)
-            return fids, seqs, ns, flags
-
-        _header_fields = _numba_header_fields
-except ImportError:
-    pass
-
-
 def decode_header_fields(
         datas: Sequence[bytes]) -> Tuple[List[int], List[int],
                                          List[int], List[int]]:
@@ -275,7 +233,11 @@ def decode_header_fields(
                 np.uint64, copy=False)
             starts = np.zeros(lens.size, dtype=np.int64)
             np.cumsum(lens[:-1] // 8, out=starts[1:])
-            fids, seqs, ns, flags = _header_fields(words, starts)
+            first = words[starts]
+            fids = first >> np.uint64(48)
+            seqs = (first >> np.uint64(16)) & np.uint64(0xFFFFFFFF)
+            ns = (first >> np.uint64(8)) & np.uint64(0xFF)
+            flags = first & np.uint64(0xFF)
             if (8 * ns.astype(np.int64) + _HEADER.size == lens).all():
                 return (fids.tolist(), seqs.tolist(), ns.tolist(),
                         flags.tolist())

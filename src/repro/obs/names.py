@@ -12,10 +12,6 @@ the same thing the same way.  The convention (documented in
   ``pass``, ``suspend``), categorized by subsystem;
 * **kernel keys** — the function actually profiled
   (``encode_packet``, ``offer_batch``), not an abbreviation of it.
-
-The profile payload historically used abbreviated keys (``encode``,
-``offer``); :data:`LEGACY_KERNEL_KEYS` maps them to the canonical
-spelling so renderers keep working against checked-in artifacts.
 """
 
 from __future__ import annotations
@@ -104,19 +100,5 @@ KERNEL_OFFER = "offer_batch"
 PROFILE_KERNEL_KEYS = (KERNEL_ENCODE, KERNEL_DECODE_HEADER,
                        KERNEL_DECODE_VALUES, KERNEL_ACK, KERNEL_OFFER)
 
-#: Pre-PR-10 profile payloads abbreviated two kernel keys; renderers
-#: accept both spellings so checked-in artifacts keep rendering.
-LEGACY_KERNEL_KEYS = {
-    "encode": KERNEL_ENCODE,
-    "offer": KERNEL_OFFER,
-}
 
-
-def canonical_kernel_key(key: str) -> str:
-    """The canonical spelling of a (possibly legacy) kernel key."""
-    return LEGACY_KERNEL_KEYS.get(key, key)
-
-
-__all__ = [name for name in dir() if name.isupper()] + [
-    "canonical_kernel_key",
-]
+__all__ = [name for name in dir() if name.isupper()]

@@ -1,10 +1,8 @@
-"""The stable ``repro.api`` facade and the deprecation shims.
+"""The stable ``repro.api`` facade.
 
 The facade's contract: a ``Session`` produces the same tick domain as
-the internal ``QueryScheduler.serve`` for the same specs, its
-``QueryResult`` is constructible from both transports, and the old
-``repro.cluster.ClusterSimulation`` import keeps working behind a
-``DeprecationWarning``.
+the internal ``QueryScheduler.serve`` for the same specs, and its
+``QueryResult`` is constructible from both transports.
 """
 
 import json
@@ -135,21 +133,19 @@ class TestRunScenario:
 
 
 class TestDeprecationShim:
-    def test_cluster_simulation_import_warns(self):
-        import repro.cluster
-
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            cls = repro.cluster.ClusterSimulation
-        from repro.cluster.simulation import ClusterSimulation
-
-        assert cls is ClusterSimulation
-
     def test_canonical_import_stays_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             from repro.cluster.simulation import (  # noqa: F401
                 ClusterSimulation,
             )
+
+    def test_cluster_package_does_not_reexport_simulation(self):
+        import repro.cluster
+
+        assert "ClusterSimulation" not in repro.cluster.__all__
+        with pytest.raises(AttributeError):
+            repro.cluster.ClusterSimulation
 
     def test_unknown_attribute_still_raises(self):
         import repro.cluster

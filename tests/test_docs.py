@@ -20,6 +20,25 @@ def test_check_docs_script_passes():
     assert "docs check OK" in result.stdout
 
 
+def test_cli_flag_check_rejects_a_bogus_flag(tmp_path):
+    """A doc naming a flag the subcommand's parser lacks fails the
+    checker; real flags, inline or fenced, pass."""
+    sys.path.insert(0, str(REPO_ROOT / "scripts"))
+    try:
+        import check_docs
+    finally:
+        sys.path.pop(0)
+    good = tmp_path / "good.md"
+    good.write_text("Run `repro run distinct --loss 0.05 --shards 2`.\n"
+                    "```sh\nrepro bench fig11 --rows 6000 \\\n"
+                    "    --shards 4   # --not-a-flag in a comment\n```\n")
+    bad = tmp_path / "bad.md"
+    bad.write_text("Run `repro run distinct --no-such-flag`.\n"
+                   "```sh\nrepro serve --tenants 4 \\\n    --bogus 1\n```\n")
+    assert check_docs.check_cli_flags([good]) == 0
+    assert check_docs.check_cli_flags([bad]) == 2
+
+
 def test_architecture_docs_exist_and_crosslink():
     docs = REPO_ROOT / "docs"
     architecture = (docs / "ARCHITECTURE.md").read_text()
