@@ -22,10 +22,11 @@ Package map
     Columnar tables, expression AST, query objects, reference executor,
     query planner, and a small SQL parser.
 ``repro.net``
-    Cheetah packet formats and the switch-assisted reliability protocol.
+    Cheetah packet formats and the switch-assisted reliability protocol,
+    whose ``MasterEndpoint`` is the CMaster.
 ``repro.cluster``
-    Workers/master modules, the Spark baseline, and the calibrated
-    completion-time model.
+    The CWorker encoding, the Spark baseline, the calibrated
+    completion-time model, and the serving stack.
 ``repro.workloads``
     Synthetic Big Data benchmark and TPC-H subset generators.
 ``repro.baselines``

@@ -132,22 +132,38 @@ class ConfidenceInterval:
         return self.low <= value <= self.high
 
 
-def repeat_with_ci(metric_fn, seeds: Sequence[int] = (0, 1, 2, 3, 4),
-                   confidence: float = 0.95) -> ConfidenceInterval:
+# Two-tailed 95% Student-t critical values t(0.975, df) for df = 1..30.
+_T_975 = (
+    12.706204736174694, 4.302652729749462, 3.1824463052837078,
+    2.7764451051977934, 2.5705818356363146, 2.4469118511449786,
+    2.364624251592784, 2.306004135204166, 2.262157162798205,
+    2.228138851986274, 2.200985160091639, 2.1788128296672284,
+    2.1603686564627913, 2.144786687917804, 2.131449545559776,
+    2.1199052992212546, 2.1098155778333156, 2.1009220402410382,
+    2.0930240544083087, 2.085963447265864, 2.0796138447276795,
+    2.0738730679040254, 2.0686576104190486, 2.0638985616280245,
+    2.0595385527532972, 2.0555294386428735, 2.0518305164802846,
+    2.0484071417952454, 2.045229642132703, 2.0422724563012378,
+)
+
+
+def repeat_with_ci(metric_fn, seeds: Sequence[int] = (0, 1, 2, 3, 4)
+                   ) -> ConfidenceInterval:
     """Run ``metric_fn(seed)`` per seed; return mean ± t-interval.
 
     Matches §8.3: "We ran each randomized algorithm five times and used
     two-tailed Student t-test to determine the 95% confidence intervals."
+    Supports 2 to 31 runs.
     """
-    from scipy import stats
-
     values = [float(metric_fn(seed)) for seed in seeds]
     n = len(values)
     if n < 2:
         raise ValueError("need at least two runs for an interval")
+    if n > len(_T_975) + 1:
+        raise ValueError(f"at most {len(_T_975) + 1} runs, got {n}")
     mean = sum(values) / n
     variance = sum((v - mean) ** 2 for v in values) / (n - 1)
-    t_crit = float(stats.t.ppf((1 + confidence) / 2, df=n - 1))
+    t_crit = _T_975[n - 2]
     half_width = t_crit * (variance / n) ** 0.5
     return ConfidenceInterval(mean=mean, half_width=half_width, runs=n)
 

@@ -1,10 +1,11 @@
-"""Distributed execution model: workers, master, Spark baseline, timing.
+"""Distributed execution model: workers, Spark baseline, timing, serving.
 
 The paper's testbed (five 2-core Spark workers + one master behind a
 Tofino, DPDK CWorkers at ~10-12 Mpps, NICs restricted to 10/20G) is not
 available; this package substitutes an analytic cost model calibrated to
-the rates the paper itself reports, plus functional CWorker/CMaster
-implementations that really serialize entries to the wire format.
+the rates the paper itself reports, plus a functional CWorker that
+really serializes entries to the wire format.  The CMaster side of the
+wire path is :class:`repro.net.reliability.MasterEndpoint`.
 
 Absolute seconds are not expected to match the testbed; the *shape* —
 who wins, by what factor, where the network becomes the bottleneck — is
@@ -17,7 +18,6 @@ from repro.cluster.costmodel import (
     TimingBreakdown,
 )
 from repro.cluster.worker import CWorker, encode_value, decode_numeric
-from repro.cluster.master import CMaster
 from repro.cluster.spark import SparkBaseline, SparkReport
 from repro.cluster.runtime import CheetahRuntime, CheetahReport
 from repro.cluster.simulation import (
@@ -43,13 +43,6 @@ from repro.cluster.scheduler import (
     TenantSpec,
     tenant_specs,
 )
-from repro.cluster.events import (
-    QueueReport,
-    simulate_master_queue,
-    simulate_master_queue_events,
-    blocking_vs_unpruned,
-)
-from repro.cluster.dag import DagEdge, DagNode, WorkerDag
 
 
 __all__ = [
@@ -59,7 +52,6 @@ __all__ = [
     "CWorker",
     "encode_value",
     "decode_numeric",
-    "CMaster",
     "SparkBaseline",
     "SparkReport",
     "CheetahRuntime",
@@ -81,11 +73,4 @@ __all__ = [
     "TenantReport",
     "TenantSpec",
     "tenant_specs",
-    "QueueReport",
-    "simulate_master_queue",
-    "simulate_master_queue_events",
-    "blocking_vs_unpruned",
-    "DagEdge",
-    "DagNode",
-    "WorkerDag",
 ]

@@ -18,8 +18,6 @@ import dataclasses
 import math
 from typing import Optional
 
-from scipy.special import lambertw
-
 
 class InfeasibleConfiguration(Exception):
     """No (d, w) setting satisfies the requested constraints."""
@@ -58,8 +56,22 @@ def optimal_topn_rows(n: int, delta: float) -> int:
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     w_arg = n * math.e**2 / delta
-    d = delta * math.exp(float(lambertw(w_arg).real))
+    d = delta * math.exp(_lambert_w(w_arg))
     return max(1, round(d))
+
+
+def _lambert_w(x: float) -> float:
+    """Principal-branch Lambert W for ``x >= e``: Halley's iteration on
+    ``w e^w = x`` from ``ln x - ln ln x``, run to a fixed point."""
+    w = math.log(x) - math.log(math.log(x))
+    for _ in range(64):
+        e_w = math.exp(w)
+        f = w * e_w - x
+        step = f / (e_w * (w + 1) - (w + 2) * f / (2 * w + 2))
+        if w - step == w:
+            break
+        w -= step
+    return w
 
 
 @dataclasses.dataclass(frozen=True)

@@ -338,40 +338,41 @@ def test_alu_fire_many_enforces_once_per_packet():
         alu.fire_many(ALUOp.ADD, [1, 2], [1, 1], [3, 3])
 
 
-def test_cmaster_receive_batch_and_shard_absorb():
-    from repro.cluster.master import CMaster
+def test_master_endpoint_batch_matches_per_packet():
+    """``process_batch`` is ``process`` per packet: same ACK bytes in the
+    same order, same entries, FINs and duplicate count."""
+    from repro.net.channel import LossyChannel
     from repro.net.packet import FIN_FLAG, CheetahPacket
+    from repro.net.reliability import MasterEndpoint
+    from repro.net.wire import encode_packet
 
-    def packets(fid, values, fin=False):
-        out = [CheetahPacket(fid=fid, seq=i, values=(v,))
+    def flow(fid, values):
+        out = [CheetahPacket(fid=fid, seq=i, values=v)
                for i, v in enumerate(values)]
-        if fin:
-            out.append(CheetahPacket(fid=fid, seq=len(values), values=(),
-                                     flags=FIN_FLAG))
+        out.append(CheetahPacket(fid=fid, seq=len(values), values=(),
+                                 flags=FIN_FLAG))
         return out
 
-    # Batched receive == per-packet receive.
-    one_by_one = CMaster()
-    batched = CMaster()
-    stream = packets(1, [10, 11, 12], fin=True)
-    for packet in stream:
-        one_by_one.receive(packet)
-    batched.receive_batch(stream)
-    assert batched.received_entries() == one_by_one.received_entries()
-    assert batched.all_fins([1]) == one_by_one.all_fins([1])
+    a = flow(1, [(10, 1), (11, 2), (12, 3)])
+    b = flow(2, [(20, 4), (21, 5)])
+    # Interleaved flows, reordered sequences, retransmitted entries and
+    # a retransmitted FIN.
+    stream = [encode_packet(p) for p in (
+        a[0], b[1], a[2], a[0], b[0], a[3], a[1], b[1], a[3], b[2], a[2])]
 
-    # Multi-switch merge: per-shard masters folded into one.
-    merged = CMaster()
-    shard_a = CMaster()
-    shard_b = CMaster()
-    shard_a.receive_batch(packets(1, [10, 11]))
-    shard_b.receive_batch(packets(1, [12], fin=True))
-    shard_b.receive_batch(packets(2, [20]))
-    merged.absorb(shard_a)
-    merged.absorb(shard_b)
-    assert merged.received_entries(1) == [(10,), (11,), (12,)]
-    assert merged.received_entries(2) == [(20,)]
-    assert merged.all_fins([1]) and not merged.all_fins([2])
+    one_by_one, batched = MasterEndpoint(), MasterEndpoint()
+    acks_one, acks_batch = LossyChannel(), LossyChannel()
+    for data in stream:
+        one_by_one.process(data, acks_one)
+    batched.process_batch(stream, acks_batch)
+
+    assert acks_batch.drain() == acks_one.drain()
+    for fid in (1, 2):
+        assert batched.received(fid) == one_by_one.received(fid)
+        assert batched.fin_received(fid) == one_by_one.fin_received(fid)
+    assert batched.received(1) == [(10, 1), (11, 2), (12, 3)]
+    assert batched.fin_received(1) and batched.fin_received(2)
+    assert batched.duplicates == one_by_one.duplicates == 4
 
 
 def test_packet_batch_helpers():

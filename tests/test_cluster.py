@@ -4,7 +4,6 @@ import pytest
 
 from repro.cluster import (
     CheetahRuntime,
-    CMaster,
     CostModel,
     CWorker,
     SparkBaseline,
@@ -23,6 +22,9 @@ from repro.db import (
     execute,
 )
 from repro.db.queries import CompoundQuery
+from repro.net.channel import LossyChannel
+from repro.net.reliability import MasterEndpoint
+from repro.net.wire import encode_packet
 
 
 class TestEncoding:
@@ -62,33 +64,40 @@ class TestCWorkerCMaster:
         assert packets[-1].is_fin
         assert len(packets) == 5
 
+    @staticmethod
+    def _master_receives(packets):
+        """The CMaster (``MasterEndpoint``) takes the worker's frames."""
+        master, acks = MasterEndpoint(), LossyChannel()
+        master.process_batch([encode_packet(p) for p in packets], acks)
+        return master, acks
+
+    @staticmethod
+    def _rebuild(entries, columns):
+        return Table.from_rows("meta", [
+            {col: decode_numeric(v) for col, v in zip(columns, values)}
+            for values in entries
+        ])
+
     def test_master_rebuilds_table(self, products_table):
         worker = CWorker(0, products_table)
-        master = CMaster()
-        for packet in worker.packets(["price"]):
-            master.receive(packet)
-        assert master.all_fins([0])
-        rebuilt = master.to_table("meta", ["price"])
+        master, _ = self._master_receives(worker.packets(["price"]))
+        assert master.fin_received(0)
+        rebuilt = self._rebuild(master.received(0), ["price"])
         assert [int(v) for v in rebuilt.column("price").values] == [4, 7, 2, 5]
 
     def test_master_completes_query(self, products_table):
         worker = CWorker(0, products_table)
-        master = CMaster()
-        for packet in worker.packets(["price"]):
-            master.receive(packet)
-        table = master.to_table("meta", ["price"])
-        result = master.complete(
-            TopNQuery(n=2, order_column="price"), table
-        )
+        master, _ = self._master_receives(worker.packets(["price"]))
+        table = self._rebuild(master.received(0), ["price"])
+        result = execute(TopNQuery(n=2, order_column="price"), table)
         assert result.output == (7.0, 5.0)
 
-    def test_master_rejects_mismatched_entry(self):
-        master = CMaster()
-        from repro.net.packet import CheetahPacket
-
-        master.receive(CheetahPacket(fid=0, seq=0, values=(1, 2)))
-        with pytest.raises(ValueError):
-            master.to_table("t", ["only_one_column"])
+    def test_master_acks_every_copy_and_keeps_one(self, products_table):
+        packets = CWorker(0, products_table).packets(["price"])
+        master, acks = self._master_receives(packets + packets)
+        assert acks.pending() == 2 * len(packets)
+        assert master.duplicates == len(packets)
+        assert master.received(0) == [p.values for p in packets[:-1]]
 
 
 class TestCostModel:

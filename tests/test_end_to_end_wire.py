@@ -1,5 +1,6 @@
 """Full-stack integration: CWorker serialization -> lossy wire with the
-§7.2 protocol -> switch pruning -> CMaster rebuild -> query completion.
+§7.2 protocol -> switch pruning -> CMaster (``MasterEndpoint``) ->
+table rebuild -> query completion.
 
 This is the closest the repository gets to the paper's Figure 1 with
 every component engaged at once, bytes on the wire included.
@@ -9,13 +10,12 @@ import random
 
 import pytest
 
-from repro.cluster.master import CMaster
 from repro.cluster.worker import CWorker, decode_numeric, encode_value
 from repro.core.distinct import DistinctPruner
 from repro.core.topn import TopNRandomized
+from repro.db.executor import execute
 from repro.db.queries import DistinctQuery, TopNQuery
 from repro.db.table import Table
-from repro.net.packet import CheetahPacket
 from repro.net.reliability import run_transfer
 
 
@@ -26,6 +26,14 @@ def partitioned_table(rows, parts, seed=0):
         for _ in range(rows)
     ])
     return table, table.partition(parts)
+
+
+def rebuild(delivered, column):
+    """The master's table: every delivered entry, flows in fid order."""
+    return Table.from_rows("meta", [
+        {column: decode_numeric(values[0])}
+        for fid in sorted(delivered) for values in delivered[fid]
+    ])
 
 
 class TestDistinctOverWire:
@@ -41,13 +49,8 @@ class TestDistinctOverWire:
             prune_fn=lambda values: pruner.offer(values[0]),
             loss_rate=0.15, seed=2,
         )
-        master = CMaster()
-        for fid, entries in report.delivered.items():
-            for seq, values in enumerate(entries):
-                master.receive(CheetahPacket(fid=fid, seq=seq,
-                                             values=values))
-        meta = master.to_table("meta", ["k"])
-        result = master.complete(DistinctQuery(key_columns=("k",)), meta)
+        meta = rebuild(report.delivered, "k")
+        result = execute(DistinctQuery(key_columns=("k",)), meta)
         expected = frozenset(
             (float(k),) for k in set(table.column("k"))
         )
@@ -76,15 +79,8 @@ class TestTopNOverWire:
             prune_fn=lambda values: pruner.offer(values[0]),
             loss_rate=0.1, seed=5,
         )
-        master = CMaster()
-        for fid, entries in report.delivered.items():
-            for seq, values in enumerate(entries):
-                master.receive(CheetahPacket(fid=fid, seq=seq,
-                                             values=values))
-        meta = master.to_table("meta", ["v"])
-        result = master.complete(
-            TopNQuery(n=10, order_column="v"), meta
-        )
+        meta = rebuild(report.delivered, "v")
+        result = execute(TopNQuery(n=10, order_column="v"), meta)
         expected = tuple(
             float(v) for v in sorted(table.column("v"), reverse=True)[:10]
         )

@@ -1,9 +1,8 @@
-"""Tests for the event simulator, the worker DAG, and the CLI."""
+"""Tests for the master-queue event simulator and the CLI."""
 
 import pytest
 
 from repro.cluster.costmodel import CostModel
-from repro.cluster.dag import WorkerDag
 from repro.cluster.events import (
     blocking_vs_unpruned,
     simulate_master_queue,
@@ -67,66 +66,6 @@ class TestMasterQueueSimulation:
             simulate_master_queue(10, 0.0, 1.0)
         with pytest.raises(ValueError):
             simulate_master_queue_events([1.0], 0.0)
-
-
-class TestWorkerDag:
-    def test_linear_pipeline_with_pruning(self):
-        dag = WorkerDag()
-        dag.add_node("scan")
-        dag.add_node("aggregate",
-                     transform=lambda inputs: sorted(set(inputs[0])))
-        edge = dag.add_edge("scan", "aggregate",
-                            pruner=DistinctPruner(rows=8, width=2))
-        outputs = dag.run({"scan": [1, 2, 1, 2, 3, 3, 3]})
-        assert outputs["aggregate"] == [1, 2, 3]
-        assert edge.sent == 7
-        assert edge.pruned > 0
-
-    def test_fan_in(self):
-        dag = WorkerDag()
-        dag.add_node("w1")
-        dag.add_node("w2")
-        dag.add_node("master")
-        dag.add_edge("w1", "master",
-                     pruner=TopNDeterministic(n=2, thresholds=2))
-        dag.add_edge("w2", "master",
-                     pruner=TopNDeterministic(n=2, thresholds=2))
-        outputs = dag.run({"w1": [5, 1, 9, 2, 8, 3],
-                           "w2": [7, 4, 6, 2, 9, 1]})
-        merged = outputs["master"]
-        assert sorted(merged, reverse=True)[:2] == [9, 9]
-
-    def test_multi_level_pruning_accumulates(self):
-        dag = WorkerDag()
-        for name in ("scan", "mid", "sink"):
-            dag.add_node(name)
-        dag.add_edge("scan", "mid", pruner=DistinctPruner(rows=4, width=1))
-        dag.add_edge("mid", "sink", pruner=DistinctPruner(rows=4, width=4))
-        stream = [i % 5 for i in range(100)]
-        outputs = dag.run({"scan": stream})
-        assert set(outputs["sink"]) == set(stream)
-        assert dag.total_pruned() >= 90
-
-    def test_cycle_rejected(self):
-        dag = WorkerDag()
-        dag.add_node("a")
-        dag.add_node("b")
-        dag.add_edge("a", "b")
-        dag.add_edge("b", "a")
-        with pytest.raises(ValueError):
-            dag.run({"a": [1]})
-
-    def test_unknown_node_rejected(self):
-        dag = WorkerDag()
-        dag.add_node("a")
-        with pytest.raises(KeyError):
-            dag.add_edge("a", "missing")
-
-    def test_duplicate_node_rejected(self):
-        dag = WorkerDag()
-        dag.add_node("a")
-        with pytest.raises(ValueError):
-            dag.add_node("a")
 
 
 class TestCLI:

@@ -1,71 +1,14 @@
-"""Tests for CSV I/O, pipeline recirculation, and failure injection."""
+"""Tests for pipeline recirculation and failure injection."""
 
-import io
 import random
 
 import pytest
 
 from repro.core.distinct import DistinctPruner
-from repro.db import DistinctQuery, QueryPlanner, execute
-from repro.db.column import ColumnType
-from repro.db.io import read_csv, to_csv_string, write_csv
-from repro.db.table import Table
 from repro.switch.compiler import QuerySpec
 from repro.switch.controlplane import ControlPlane
 from repro.switch.pipeline import PacketContext, Pipeline, RecirculatingPipeline
 from repro.switch.programs import DistinctProgram
-
-
-class TestCSV:
-    CSV = "name,rank,score\nalpha,1,0.5\nbeta,2,1.5\ngamma,3,2.0\n"
-
-    def test_read_infers_types(self):
-        table = read_csv(io.StringIO(self.CSV), name="t")
-        assert table.schema == [
-            ("name", ColumnType.STR),
-            ("rank", ColumnType.INT),
-            ("score", ColumnType.FLOAT),
-        ]
-        assert len(table) == 3
-
-    def test_roundtrip(self):
-        table = read_csv(io.StringIO(self.CSV), name="t")
-        assert to_csv_string(table) == self.CSV
-
-    def test_limit(self):
-        table = read_csv(io.StringIO(self.CSV), limit=2)
-        assert len(table) == 2
-
-    def test_file_roundtrip(self, tmp_path):
-        table = read_csv(io.StringIO(self.CSV), name="t")
-        path = str(tmp_path / "out.csv")
-        write_csv(table, path)
-        again = read_csv(path)
-        assert again.schema == table.schema
-        assert list(again.rows()) == list(table.rows())
-
-    def test_mixed_numeric_column_falls_back_to_float(self):
-        table = read_csv(io.StringIO("x\n1\n2.5\n"))
-        assert table.schema == [("x", ColumnType.FLOAT)]
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            read_csv(io.StringIO(""))
-        with pytest.raises(ValueError):
-            read_csv(io.StringIO("a,b\n1\n"))       # ragged row
-        with pytest.raises(ValueError):
-            read_csv(io.StringIO("a,b\n"))          # no data rows
-        with pytest.raises(ValueError):
-            read_csv(io.StringIO("a,,c\n1,2,3\n"))  # empty header cell
-
-    def test_csv_table_through_cheetah(self):
-        table = read_csv(io.StringIO(
-            "key,value\n" + "".join(
-                f"k{i % 7},{i}\n" for i in range(200))
-        ), name="csvdata")
-        query = DistinctQuery(key_columns=("key",))
-        run = QueryPlanner().plan(query).run(table)
-        assert run.result == execute(query, table)
 
 
 class TestRecirculation:

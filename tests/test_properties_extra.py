@@ -1,15 +1,11 @@
 """Second round of property tests: predicate decomposition equivalence,
-APH monotonicity, SQL parser totality on generated queries, the
-deterministic TOP-N threshold invariant, and CSV roundtrips."""
-
-import io
+APH monotonicity, SQL parser totality on generated queries, and the
+deterministic TOP-N threshold invariant."""
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core.expr import And, Cmp, Col, Like, Lit, Not, Or
 from repro.core.filtering import decompose_predicate, simplify, to_nnf
-from repro.db.io import read_csv, to_csv_string
-from repro.db.table import Table
 from repro.switch.tcam_log import ApproxLog
 
 # -- expression generator -------------------------------------------------------
@@ -118,30 +114,3 @@ class TestTopNThresholdInvariant:
                 assert at_least >= n
             seen.append(value)
 
-
-class TestCSVProperties:
-    @given(st.lists(
-        st.fixed_dictionaries({
-            "k": st.integers(-1000, 1000),
-            "name": st.text(
-                alphabet=st.characters(whitelist_categories=("Ll", "Lu"),
-                                       max_codepoint=0x7F),
-                min_size=1, max_size=8),
-        }),
-        min_size=1, max_size=30,
-    ))
-    @settings(max_examples=100)
-    def test_roundtrip(self, records):
-        from hypothesis import assume
-
-        # Names like "inf"/"nan" parse as floats and would legitimately
-        # change the inferred column type; exclude them.
-        for record in records:
-            try:
-                float(record["name"])
-                assume(False)
-            except ValueError:
-                pass
-        table = Table.from_rows("t", records)
-        again = read_csv(io.StringIO(to_csv_string(table)), name="t")
-        assert list(again.rows()) == list(table.rows())

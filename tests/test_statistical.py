@@ -6,14 +6,33 @@ configured delta (with generous slack — they are sanity checks on the
 theorem machinery, not precise estimators).
 """
 
+import math
 import random
 
 import pytest
 
-from repro.bench.runner import ConfidenceInterval, repeat_with_ci
+from repro.bench.runner import _T_975, ConfidenceInterval, repeat_with_ci
 from repro.core.config import topn_width
 from repro.core.distinct import DistinctPruner
 from repro.core.topn import TopNRandomized
+
+
+def t_central_mass(t: float, df: int) -> float:
+    """P(|T| < t) for Student's t with integer ``df``, in closed form
+    (Abramowitz & Stegun 26.7.3/26.7.4, with theta = atan(t / sqrt(df)))."""
+    theta = math.atan(t / math.sqrt(df))
+    s, c = math.sin(theta), math.cos(theta)
+    if df % 2:
+        term = total = c if df > 1 else 0.0
+        for k in range(3, df - 1, 2):
+            term *= (k - 1) / k * c * c
+            total += term
+        return 2 / math.pi * (theta + s * total)
+    term = total = 1.0
+    for k in range(2, df - 1, 2):
+        term *= (k - 1) / k * c * c
+        total += term
+    return s * total
 
 
 def topn_run_fails(n, rows, width, stream_length, seed) -> bool:
@@ -118,3 +137,26 @@ class TestConfidenceIntervals:
     def test_needs_two_runs(self):
         with pytest.raises(ValueError):
             repeat_with_ci(lambda s: 1.0, seeds=[0])
+
+    def test_at_most_31_runs(self):
+        assert repeat_with_ci(float, seeds=range(31)).runs == 31
+        with pytest.raises(ValueError):
+            repeat_with_ci(float, seeds=range(32))
+
+    def test_pinned_critical_values(self):
+        """The df 4 and df 19 values (5 and 20 runs, the callers' sizes)
+        are scipy's ``stats.t.ppf(0.975, df)`` to the bit."""
+        for runs, t_crit in ((5, 2.7764451051977934),
+                             (20, 2.0930240544083087)):
+            values = [float(i * i) for i in range(runs)]
+            interval = repeat_with_ci(values.__getitem__, seeds=range(runs))
+            mean = sum(values) / runs
+            variance = sum((v - mean) ** 2 for v in values) / (runs - 1)
+            assert interval.half_width == t_crit * (variance / runs) ** 0.5
+
+    @pytest.mark.parametrize("df", range(1, len(_T_975) + 1))
+    def test_critical_value_is_the_975_quantile(self, df):
+        """Every pasted value leaves 95% of Student's t between -t and t,
+        checked without scipy against the closed-form distribution."""
+        assert t_central_mass(_T_975[df - 1], df) == pytest.approx(
+            0.95, abs=1e-13)

@@ -1,5 +1,8 @@
 """Tests for TOP-N pruners (Examples #3 and #7) and their configuration."""
 
+import json
+import math
+import pathlib
 import random
 
 import pytest
@@ -8,11 +11,14 @@ from repro.core.analysis import topn_expected_unpruned
 from repro.core.base import Guarantee
 from repro.core.config import (
     InfeasibleConfiguration,
+    _lambert_w,
     feasible_topn_config,
     optimal_topn_rows,
     topn_width,
 )
 from repro.core.topn import TopNDeterministic, TopNRandomized
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def topn_of(stream, n):
@@ -181,3 +187,19 @@ class TestConfiguration:
             topn_width(0, 10, 0.1)
         with pytest.raises(ValueError):
             optimal_topn_rows(10, 2.0)
+
+    def test_optimal_rows_match_golden_grid(self):
+        """``d`` equals what ``scipy.special.lambertw`` gave on a grid of
+        n in 1..10^7 and delta in 0.999..1e-10."""
+        golden = json.loads((DATA / "topn_rows_golden.json").read_text())
+        mismatches = [(n, delta, d) for n, delta, d in golden["points"]
+                      if optimal_topn_rows(n, delta) != d]
+        assert len(golden["points"]) > 1800
+        assert mismatches == []
+
+    def test_lambert_w_solves_its_equation(self):
+        for n in (1, 7, 1000, 10**7):
+            for delta in (0.999, 1e-4, 1e-10):
+                x = n * math.e**2 / delta
+                w = _lambert_w(x)
+                assert w * math.exp(w) == pytest.approx(x, rel=1e-12)
