@@ -19,7 +19,8 @@ HAVING pruner's sketch path instead (Example #5).
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Tuple
+from collections import defaultdict
+from typing import DefaultDict, Dict, List, Tuple
 
 from repro.core.base import Guarantee, PruningAlgorithm, register_algorithm
 from repro.sketches.hashing import HashableValue, row_of, rows_of_batch
@@ -53,10 +54,8 @@ class GroupByPruner(PruningAlgorithm):
         self.width = width
         self.aggregate = aggregate
         self.seed = seed
-        # row -> ordered slots of (group_key, best_value); index = stage.
-        self._slots: List[List[Tuple[HashableValue, float]]] = [
-            [] for _ in range(rows)
-        ]
+        # Touched row -> ordered (group_key, best_value) slots; index = stage.
+        self._slots: DefaultDict[int, List[Tuple]] = defaultdict(list)
 
     def _better(self, a: float, b: float) -> bool:
         """True iff ``a`` strictly improves on ``b`` for the aggregate."""
@@ -132,17 +131,17 @@ class GroupByPruner(PruningAlgorithm):
 
     def reset(self) -> None:
         super().reset()
-        self._slots = [[] for _ in range(self.rows)]
+        self._slots.clear()
 
     def tracked_groups(self) -> int:
         """Number of groups currently holding a slot (test hook)."""
-        return sum(len(row) for row in self._slots)
+        return sum(len(row) for row in self._slots.values())
 
     def current_best(self) -> Dict[HashableValue, float]:
-        """Best value per tracked group (test hook)."""
+        """Best value per tracked group, in row order (test hook)."""
         best = {}
-        for row in self._slots:
-            for key, value in row:
+        for index in sorted(self._slots):
+            for key, value in self._slots[index]:
                 best[key] = value
         return best
 
@@ -178,8 +177,8 @@ class GroupBySumAggregator:
         self.width = width
         self.count_mode = count_mode
         self.seed = seed
-        # row -> list of [key, partial]; index 0 = most recently updated.
-        self._slots: List[List[List]] = [[] for _ in range(rows)]
+        # Touched row -> [key, partial] slots; index 0 = most recently updated.
+        self._slots: DefaultDict[int, List[List]] = defaultdict(list)
         self.absorbed = 0
         self.evicted = 0
 
@@ -206,12 +205,11 @@ class GroupBySumAggregator:
         return victim[0], victim[1]
 
     def drain(self) -> List[Tuple[HashableValue, float]]:
-        """Flush all live partials (the FIN-time drain)."""
-        out = []
-        for row in self._slots:
-            for key, partial in row:
-                out.append((key, partial))
-            row.clear()
+        """Flush all live partials in row order (the FIN-time drain)."""
+        out = [(key, partial)
+               for index in sorted(self._slots)
+               for key, partial in self._slots[index]]
+        self._slots.clear()
         return out
 
     def __repr__(self) -> str:  # pragma: no cover

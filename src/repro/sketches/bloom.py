@@ -18,18 +18,16 @@ sound: a pruned key is guaranteed absent from the other table.
 from __future__ import annotations
 
 import math
+from operator import and_
 from typing import Iterable, List, Optional
 
 from repro.sketches.hashing import HashFamily, HashableValue, hash64
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
-
 
 class BloomFilter:
     """Classic Bloom filter over ``size_bits`` bits with ``hashes`` functions.
+
+    Models an M-bit register array; stores the indices of its set bits.
 
     Parameters
     ----------
@@ -50,20 +48,16 @@ class BloomFilter:
         self.hashes = hashes
         self.seed = seed
         self._family = HashFamily(hashes, size_bits, seed)
-        self._words = bytearray((size_bits + 7) // 8)
+        self._bits: set = set()
         self._inserted = 0
 
     def add(self, value: HashableValue) -> None:
         """Insert ``value`` into the filter."""
-        for idx in self._family.all(value):
-            self._words[idx >> 3] |= 1 << (idx & 7)
+        self._bits.update(self._family.all(value))
         self._inserted += 1
 
     def __contains__(self, value: HashableValue) -> bool:
-        return all(
-            self._words[idx >> 3] & (1 << (idx & 7))
-            for idx in self._family.all(value)
-        )
+        return self._bits.issuperset(self._family.all(value))
 
     def update(self, values: Iterable[HashableValue]) -> None:
         """Insert every value in ``values``."""
@@ -73,19 +67,16 @@ class BloomFilter:
     def add_batch(self, values) -> None:
         """Vectorized :meth:`add` for a whole batch of keys.
 
-        Hashes the batch at once and sets bits via a bulk scatter-or;
-        final filter state is identical to per-value ``add`` calls.
+        Hashes the batch at once; final filter state is identical to
+        per-value ``add`` calls.
         """
         index_arrays = self._family.all_batch(values)
         if index_arrays is None:
             for value in values:
                 self.add(value)
             return
-        view = _np.frombuffer(self._words, dtype=_np.uint8)
         for idxs in index_arrays:
-            byte_idx = (idxs >> _np.uint64(3)).astype(_np.int64)
-            bit = (_np.uint64(1) << (idxs & _np.uint64(7))).astype(_np.uint8)
-            _np.bitwise_or.at(view, byte_idx, bit)
+            self._bits.update(idxs.tolist())
         self._inserted += len(values)
 
     def contains_batch(self, values) -> List[bool]:
@@ -93,13 +84,11 @@ class BloomFilter:
         index_arrays = self._family.all_batch(values)
         if index_arrays is None:
             return [value in self for value in values]
-        view = _np.frombuffer(self._words, dtype=_np.uint8)
-        result = _np.ones(len(values), dtype=bool)
+        is_set = self._bits.__contains__
+        result = [True] * len(values)
         for idxs in index_arrays:
-            byte_idx = (idxs >> _np.uint64(3)).astype(_np.int64)
-            shift = (idxs & _np.uint64(7)).astype(_np.uint8)
-            result &= ((view[byte_idx] >> shift) & 1).astype(bool)
-        return result.tolist()
+            result = list(map(and_, result, map(is_set, idxs.tolist())))
+        return result
 
     @property
     def inserted(self) -> int:
@@ -108,8 +97,7 @@ class BloomFilter:
 
     def fill_ratio(self) -> float:
         """Fraction of set bits; drives the false-positive rate."""
-        set_bits = sum(bin(b).count("1") for b in self._words)
-        return set_bits / self.size_bits
+        return len(self._bits) / self.size_bits
 
     def false_positive_rate(self) -> float:
         """Current theoretical FP rate ``(fill_ratio)^H``."""
@@ -132,8 +120,7 @@ class BloomFilter:
 
     def clear(self) -> None:
         """Reset to empty (control-plane register wipe)."""
-        for i in range(len(self._words)):
-            self._words[i] = 0
+        self._bits.clear()
         self._inserted = 0
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -153,6 +140,8 @@ class RegisterBloomFilter:
     pipeline stage.  Clustering the bits in one word raises the
     false-positive rate slightly versus a classic BF of equal size, which
     is the BF/RBF gap visible in Figure 10e.
+
+    Models ``size_bits / 64`` register words; stores the non-zero ones.
     """
 
     WORD_BITS = 64
@@ -168,7 +157,7 @@ class RegisterBloomFilter:
         self.hashes = hashes
         self.seed = seed
         self.num_words = size_bits // self.WORD_BITS
-        self._words = [0] * self.num_words
+        self._words: dict = {}
         self._inserted = 0
 
     def _positions(self, value: HashableValue) -> tuple:
@@ -186,12 +175,12 @@ class RegisterBloomFilter:
     def add(self, value: HashableValue) -> None:
         """Insert ``value`` (single register read-modify-write)."""
         word, mask = self._positions(value)
-        self._words[word] |= mask
+        self._words[word] = self._words.get(word, 0) | mask
         self._inserted += 1
 
     def __contains__(self, value: HashableValue) -> bool:
         word, mask = self._positions(value)
-        return (self._words[word] & mask) == mask
+        return (self._words.get(word, 0) & mask) == mask
 
     def update(self, values: Iterable[HashableValue]) -> None:
         """Insert every value in ``values``."""
@@ -205,7 +194,7 @@ class RegisterBloomFilter:
         positions = self._positions
         for value in values:
             word, mask = positions(value)
-            words[word] |= mask
+            words[word] = words.get(word, 0) | mask
         self._inserted += len(values)
 
     def contains_batch(self, values) -> List[bool]:
@@ -215,7 +204,7 @@ class RegisterBloomFilter:
         out = []
         for value in values:
             word, mask = positions(value)
-            out.append((words[word] & mask) == mask)
+            out.append((words.get(word, 0) & mask) == mask)
         return out
 
     @property
@@ -225,12 +214,12 @@ class RegisterBloomFilter:
 
     def fill_ratio(self) -> float:
         """Fraction of set bits across all words."""
-        set_bits = sum(bin(w).count("1") for w in self._words)
+        set_bits = sum(bin(w).count("1") for w in self._words.values())
         return set_bits / (self.num_words * self.WORD_BITS)
 
     def clear(self) -> None:
         """Reset to empty."""
-        self._words = [0] * self.num_words
+        self._words.clear()
         self._inserted = 0
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -19,7 +19,8 @@ semantics; pruners wrap it with their query logic.
 from __future__ import annotations
 
 import enum
-from typing import List, Optional
+from collections import defaultdict
+from typing import DefaultDict, List, Optional
 
 from repro.sketches.hashing import (
     HashableValue,
@@ -49,6 +50,8 @@ class CacheMatrix:
     Guarantees: a **hit implies the value truly appeared before** (no false
     positives), which makes DISTINCT pruning sound.  Misses on previously
     seen values (false negatives, due to eviction) merely reduce pruning.
+
+    Models ``d x w`` registers; stores only the rows a query touched.
     """
 
     def __init__(self, rows: int, width: int,
@@ -62,7 +65,7 @@ class CacheMatrix:
         self.width = width
         self.policy = policy
         self.seed = seed
-        self._data: List[List[HashableValue]] = [[] for _ in range(rows)]
+        self._data: DefaultDict[int, List[HashableValue]] = defaultdict(list)
         self.hits = 0
         self.misses = 0
 
@@ -127,11 +130,11 @@ class CacheMatrix:
 
     def __contains__(self, value: HashableValue) -> bool:
         """Pure membership test (no insertion, no stat update)."""
-        return value in self._data[self.row_index(value)]
+        return value in self._data.get(self.row_index(value), ())
 
     def occupancy(self) -> int:
         """Total cached values across all rows."""
-        return sum(len(row) for row in self._data)
+        return sum(len(row) for row in self._data.values())
 
     def memory_words(self) -> int:
         """64-bit register words provisioned (d*w, per Table 2)."""
@@ -139,7 +142,7 @@ class CacheMatrix:
 
     def clear(self) -> None:
         """Wipe all rows."""
-        self._data = [[] for _ in range(self.rows)]
+        self._data.clear()
         self.hits = 0
         self.misses = 0
 
@@ -163,6 +166,8 @@ class RollingMinMatrix:
     TOP-N cares about ranks, not identity, and random placement is what the
     balls-and-bins analysis (Theorem 2) assumes.  We derive the row from a
     hash of the entry's sequence number so runs are reproducible.
+
+    Models ``d x w`` registers; stores only the rows a query touched.
     """
 
     def __init__(self, rows: int, width: int, seed: int = 0):
@@ -173,7 +178,7 @@ class RollingMinMatrix:
         self.rows = rows
         self.width = width
         self.seed = seed
-        self._data: List[List[float]] = [[] for _ in range(rows)]
+        self._data: DefaultDict[int, List[float]] = defaultdict(list)
         self._arrivals = 0
 
     def row_for_arrival(self, sequence: Optional[int] = None) -> int:
@@ -239,8 +244,6 @@ class RollingMinMatrix:
 
     @staticmethod
     def _insert_sorted(row: List[float], value: float) -> None:
-        import bisect
-
         # Keep descending order: insert by negated key.
         lo, hi = 0, len(row)
         while lo < hi:
@@ -257,7 +260,7 @@ class RollingMinMatrix:
 
     def row_contents(self, row_idx: int) -> List[float]:
         """Stored values of a row, largest first (test hook)."""
-        return list(self._data[row_idx])
+        return list(self._data.get(row_idx, ()))
 
     def memory_words(self) -> int:
         """Provisioned 64-bit words (d*w, per Table 2)."""
@@ -265,7 +268,7 @@ class RollingMinMatrix:
 
     def clear(self) -> None:
         """Wipe all rows and the arrival counter."""
-        self._data = [[] for _ in range(self.rows)]
+        self._data.clear()
         self._arrivals = 0
 
     def __repr__(self) -> str:  # pragma: no cover
