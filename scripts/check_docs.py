@@ -99,16 +99,25 @@ def check_links() -> int:
 
 
 def cli_options() -> dict:
-    """Subcommand -> the option strings its ``repro.cli`` parser takes."""
+    """Subcommand path (``"serve"``, ``"bench fig11"``) -> the option
+    strings its ``repro.cli`` parser takes, nested subcommands
+    included."""
     import argparse
 
     from repro.cli import build_parser
 
-    for action in build_parser()._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            return {name: set(child._option_string_actions)
-                    for name, child in action.choices.items()}
-    return {}
+    known = {}
+
+    def walk(parser, path):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, child in action.choices.items():
+                    child_path = f"{path} {name}".strip()
+                    known[child_path] = set(child._option_string_actions)
+                    walk(child, child_path)
+
+    walk(build_parser(), "")
+    return known
 
 
 def doc_commands(text: str) -> list:
@@ -145,6 +154,9 @@ def check_cli_flags(files=None) -> int:
             checked += 1
             name, rest = match.groups()
             rest = _COMMAND_END.split(rest, 1)[0]
+            words = rest.split()
+            while words and f"{name} {words[0]}" in known:
+                name = f"{name} {words.pop(0)}"
             for flag in _FLAG.findall(rest):
                 if name in known and flag in known[name]:
                     continue

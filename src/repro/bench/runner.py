@@ -23,7 +23,8 @@ trajectory can be tracked across PRs and asserted in CI:
   scheduler under a tight slot budget, reporting p50/p95/p99
   arrival-to-completion latency and slot occupancy from the per-tick
   telemetry probe.  Fully deterministic (tick-based metrics only), so
-  CI asserts byte-identical payloads for the same seed.
+  ``tests/test_checked_in_records.py`` regenerates the checked-in
+  ``results/BENCH_replay.json`` byte-for-byte.
 * :func:`run_qos_bench` — the QoS subsystem's measured claim:
   interactive-class tail latency under saturating batch load with the
   ``tiers`` policy's slot preemption enabled vs. disabled, with every
@@ -319,6 +320,8 @@ def run_fig11_scale_bench(rows: int = 60_000, shards: int = 1,
 
     if rows < 40:
         raise ValueError(f"rows too small for the fig11 streams: {rows}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     row_counts = sorted({max(10, rows // 4), max(10, rows // 2), rows})
     cases = _fig11_cases(rows, seed)
     algorithms: Dict[str, List[Dict]] = {}
@@ -401,7 +404,7 @@ E2E_BENCH_SCENARIOS = ("tpch_q3", "distinct", "groupby_sum", "join")
 E2E_LOSS_SWEEP = (0.0, 0.05, 0.15)
 
 
-def run_e2e_bench(rows: int = 1200, shards: int = 2,
+def run_e2e_bench(rows: int = 1200, shards: int = 1,
                   loss_rate: float = 0.05, reorder_window: int = 2,
                   seed: int = 0,
                   scenarios: Sequence[str] = E2E_BENCH_SCENARIOS,
@@ -480,7 +483,7 @@ def run_e2e_bench(rows: int = 1200, shards: int = 2,
 
 def run_concurrency_bench(max_tenants: int = 8, rows: int = 240,
                           loss_rate: float = 0.05,
-                          reorder_window: int = 1, shards: int = 1,
+                          reorder_window: int = 2, shards: int = 1,
                           seed: int = 0,
                           scenario_mix: Optional[Sequence[str]] = None,
                           ) -> Dict:
@@ -605,7 +608,7 @@ def run_concurrency_bench(max_tenants: int = 8, rows: int = 240,
 
 
 def run_replay_bench(queries: int = 8, rows: int = 100, slots: int = 2,
-                     loss_rate: float = 0.02, reorder_window: int = 1,
+                     loss_rate: float = 0.05, reorder_window: int = 2,
                      shards: int = 1, seed: int = 0,
                      processes: Optional[Sequence[str]] = None,
                      scenario_mix: Optional[Sequence[str]] = None,
@@ -624,9 +627,9 @@ def run_replay_bench(queries: int = 8, rows: int = 100, slots: int = 2,
 
     The payload (``BENCH_replay.json``) is **fully deterministic**: all
     metrics are tick-based (:meth:`ScheduleReport.to_payload` excludes
-    wall-clock time), so CI asserts byte-identical output for the same
-    seed.  Headline keys: ``p99_latency_ticks`` and ``peak_occupancy``
-    per process.
+    wall-clock time), so ``tests/test_checked_in_records.py``
+    regenerates ``results/BENCH_replay.json`` byte-for-byte.  Headline
+    keys: ``p99_latency_ticks`` and ``peak_occupancy`` per process.
     """
     from repro.cluster.scheduler import SchedulerConfig, replay_trace
     from repro.workloads.traces import (
@@ -683,8 +686,8 @@ QOS_INTERACTIVE_MIX = ("distinct", "filter")
 
 def run_qos_bench(batch_tenants: int = 3, interactive_tenants: int = 4,
                   batch_rows: int = 260, interactive_rows: int = 60,
-                  slots: int = 3, loss_rate: float = 0.02,
-                  reorder_window: int = 1, shards: int = 1,
+                  slots: int = 3, loss_rate: float = 0.05,
+                  reorder_window: int = 2, shards: int = 1,
                   seed: int = 0, interactive_stride: int = 45,
                   first_interactive_tick: int = 15) -> Dict:
     """QoS benchmark: interactive p99 with vs. without slot preemption.
@@ -703,8 +706,10 @@ def run_qos_bench(batch_tenants: int = 3, interactive_tenants: int = 4,
     identical to its solo ``QueryPlan.run``.
 
     The payload (``BENCH_qos.json``) is fully deterministic for the
-    same seed (tick-based metrics only); CI double-runs it and asserts
-    byte identity plus the improvement factor.
+    same seed (tick-based metrics only);
+    ``tests/test_checked_in_records.py`` regenerates
+    ``results/BENCH_qos.json`` byte-for-byte, and ``tests/test_qos.py``
+    double-runs the defaults and asserts the improvement factor.
     """
     from repro.cluster.qos import tiers_policy
     from repro.cluster.scheduler import (
@@ -787,7 +792,7 @@ CHAOS_MIX = ("groupby_sum", "join", "distinct", "having_sum")
 
 
 def run_chaos_bench(tenants: int = 4, rows: int = 260, slots: int = 4,
-                    loss_rate: float = 0.02, reorder_window: int = 1,
+                    loss_rate: float = 0.05, reorder_window: int = 2,
                     shards: int = 3, seed: int = 0,
                     kills: int = 2) -> Dict:
     """Chaos benchmark: serving under seeded fault injection.
@@ -809,8 +814,9 @@ def run_chaos_bench(tenants: int = 4, rows: int = 260, slots: int = 4,
 
     The payload (``BENCH_chaos.json``) is fully deterministic for the
     same seed (tick-based metrics only, schedule generation is pure);
-    CI double-runs it, asserts byte identity, at least one migration,
-    and the equivalence bit.
+    ``tests/test_checked_in_records.py`` regenerates
+    ``results/BENCH_chaos.json`` byte-for-byte and asserts at least one
+    migration and the equivalence bit on it.
     """
     from repro.cluster.chaos import ChaosController, generate_schedule
     from repro.cluster.scheduler import (
@@ -977,10 +983,10 @@ def run_congestion_bench(rows: int = 200, workers: int = 4,
       channel drops.  The headline ``congested_goodput_ratio_min`` is
       the worst aimd/fixed goodput ratio over the *congested* cells
       (finite capacity, loss >= 0.02) — the cells where the fixed
-      schedule's retransmission storms sustain queue overflow; CI
-      asserts it stays >= 1.  With unbounded queues the fixed schedule
-      is already near-optimal and pacing can only add latency, which
-      the uncongested cells document rather than hide.
+      schedule's retransmission storms sustain queue overflow; the
+      record test asserts it stays >= 1.  With unbounded queues the
+      fixed schedule is already near-optimal and pacing can only add
+      latency, which the uncongested cells document rather than hide.
     * ``fairness`` — the synthetic shared-bottleneck trial
       (:func:`_fairness_trial`): tiers-policy class weights mapped to
       controllers, steady-state mean rates proportional to weight.
@@ -992,8 +998,8 @@ def run_congestion_bench(rows: int = 200, workers: int = 4,
     ``QueryPlan.run`` (``all_equivalent``) — congestion control moves
     protocol accounting, never results.  The payload
     (``BENCH_congestion.json``) is fully deterministic for the same
-    seed (tick-based metrics only); CI double-runs it and asserts byte
-    identity.
+    seed (tick-based metrics only); ``tests/test_checked_in_records.py``
+    regenerates ``results/BENCH_congestion.json`` byte-for-byte.
     """
     from repro.cluster.scheduler import (
         QueryScheduler,
@@ -1167,8 +1173,8 @@ def _schedule_fingerprint(report) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def run_obs_bench(tenants: int = 4, rows: int = 240, slots: int = 4,
-                  loss_rate: float = 0.05, reorder_window: int = 0,
+def run_obs_bench(tenants: int = 8, rows: int = 240, slots: int = 4,
+                  loss_rate: float = 0.05, reorder_window: int = 2,
                   shards: int = 2, seed: int = 0,
                   fig11_rows: int = 40_000, repeats: int = 3) -> Dict:
     """Observability overhead + invariants benchmark.
@@ -1323,7 +1329,7 @@ def run_obs_bench(tenants: int = 4, rows: int = 240, slots: int = 4,
     }
 
 
-def run_fig5_bench(scale: float = 5e-4, seed: int = 1,
+def run_fig5_bench(scale: float = 5e-4, seed: int = 0,
                    shards: int = 1) -> Dict:
     """One timed fig5 completion-time regeneration (smoke-sized in CI).
 
@@ -1368,7 +1374,7 @@ def _wall_stats(samples: Sequence[float]) -> Dict:
 
 
 def run_load_bench(clients: int = 256, rows: int = 24, slots: int = 8,
-                   loss_rate: float = 0.02, reorder_window: int = 0,
+                   loss_rate: float = 0.05, reorder_window: int = 2,
                    shards: int = 1, seed: int = 0,
                    policy: str = "tiers", process: str = "poisson",
                    closed_clients: int = 16,

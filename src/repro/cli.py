@@ -25,15 +25,17 @@ to stdout and under ``--results-dir`` (default ``results/``).  With
 ``run`` instead drives the named scenario through the full simulated
 cluster — CWorker wire encoding, lossy channels under the §7.2
 reliability protocol, the (optionally sharded) switch, and master
-completion — and checks the result against ``QueryPlan.run``.  ``bench``
-runs a perf benchmark (per-packet vs batched dataplane, optionally
-sharded across ``--shards`` simulated switch pipelines; ``bench e2e``
-times the pipelined vs sequential cluster drivers; ``bench
-concurrency`` measures multi-tenant serving throughput vs tenant
-count) and emits a machine-readable ``BENCH_<name>.json`` under the
-results dir.  ``serve`` runs N concurrent tenants through the
-multi-tenant ``QueryScheduler`` over shared simulated switches and
-verifies every tenant against its solo ``QueryPlan.run``.  ``replay``
+completion — and checks the result against ``QueryPlan.run``.
+``bench <name>`` calls the ``run_<name>_bench`` runner of
+:data:`BENCHES` with exactly the flags given — its parser holds only
+the flags that runner reads, and every default is the runner's own
+(``bench <name> --help`` prints them) — writes ``BENCH_<name>.json``
+under the results dir and prints a summary.  It exits 2 on bad input,
+1 if a payload check (``all_equivalent``, ``decisions_identical``,
+``exports_identical``) is not true.  ``serve`` runs N concurrent
+tenants through the multi-tenant ``QueryScheduler`` over shared
+simulated switches and verifies every tenant against its solo
+``QueryPlan.run``.  ``replay``
 feeds a recorded (or ``--gen``-erated Poisson/bursty/diurnal) JSON-lines
 arrival trace through the scheduler and reports p50/p95/p99
 arrival-to-completion latency and slot occupancy from the per-tick
@@ -51,11 +53,13 @@ specified in ``docs/TRACES.md``.
 from __future__ import annotations
 
 import argparse
+import inspect
 import logging
 import sys
 from typing import Callable, Dict, List
 
 from repro.bench import experiments as ex
+from repro.bench import runner as bench_runner
 from repro.bench.runner import ExperimentResult, save_result
 
 #: Experiment registry: id -> zero-argument callable.
@@ -710,417 +714,322 @@ def _chaos(args) -> int:
     return 1
 
 
-def _bench(args) -> int:
-    from repro.bench.runner import (
-        emit_bench_json,
-        run_chaos_bench,
-        run_concurrency_bench,
-        run_congestion_bench,
-        run_e2e_bench,
-        run_fig5_bench,
-        run_fig11_scale_bench,
-        run_load_bench,
-        run_obs_bench,
-        run_qos_bench,
-        run_replay_bench,
-    )
+def _summarize_fig5(payload) -> None:
+    print(f"fig5 bench: scale={payload['scale']} shards={payload['shards']} "
+          f"wall={payload['wall_seconds']:.2f}s "
+          f"({len(payload['rows'])} query rows)")
 
-    if args.shards < 1:
-        print(f"repro bench: --shards must be >= 1, got {args.shards}",
-              file=sys.stderr)
-        return 2
-    if args.batch_size < 1:
-        print(f"repro bench: --batch-size must be >= 1, got "
-              f"{args.batch_size}", file=sys.stderr)
-        return 2
-    if args.rows is None:
-        args.rows = {"e2e": 1200, "concurrency": 240,
-                     "replay": 100, "qos": 260, "chaos": 260,
-                     "load": 24, "congestion": 200,
-                     "obs": 240}.get(args.name, 60_000)
-    if args.slots is None:
-        # The QoS bench needs slack above the tiers policy's two
-        # reserved slots; the replay bench wants a tight budget; the
-        # load bench wants enough parallelism for a client swarm; the
-        # chaos bench wants every tenant in flight when a kill lands;
-        # the congestion bench wants its sweep tenants all concurrent
-        # so they contend for the finite ingress queues.
-        args.slots = {"qos": 3, "load": 8, "chaos": 4,
-                      "congestion": 4, "obs": 4}.get(args.name, 2)
-    if args.name == "fig11" and args.rows < 40:
-        print(f"repro bench: --rows must be >= 40 for the fig11 streams, "
-              f"got {args.rows}", file=sys.stderr)
-        return 2
-    if args.name == "e2e":
-        if args.rows < 20:
-            print(f"repro bench: --rows must be >= 20 for e2e, got "
-                  f"{args.rows}", file=sys.stderr)
-            return 2
-        if not 0.0 <= args.loss < 1.0:
-            print(f"repro bench: --loss must be in [0, 1), got "
-                  f"{args.loss}", file=sys.stderr)
-            return 2
-        if args.reorder < 0:
-            print(f"repro bench: --reorder must be >= 0, got "
-                  f"{args.reorder}", file=sys.stderr)
-            return 2
-        payload = run_e2e_bench(rows=args.rows, shards=args.shards,
-                                loss_rate=args.loss,
-                                reorder_window=args.reorder,
-                                seed=args.seed)
-        path = emit_bench_json("e2e", payload, args.results_dir)
-        print(f"e2e bench: rows={args.rows} shards={args.shards} "
-              f"loss={args.loss} reorder={args.reorder}")
-        for row in payload["scenarios"] + payload["loss_sweep"]:
-            print(f"  {row['scenario']:12s} loss={row['loss_rate']:<5} "
-                  f"seq={row['sequential_seconds']:.3f}s "
-                  f"pipe={row['pipelined_seconds']:.3f}s "
-                  f"speedup={row['speedup']:.2f}x "
-                  f"equivalent={row['pipelined_equivalent']}")
-        print(f"  overall pipelined speedup: "
-              f"{payload['overall_speedup']:.2f}x")
-        if payload["all_equivalent"] is not True:
-            print("  ERROR: an e2e run diverged from QueryPlan.run",
-                  file=sys.stderr)
-            return 1
-    elif args.name == "concurrency":
-        if args.tenants < 1:
-            print(f"repro bench: --tenants must be >= 1, got "
-                  f"{args.tenants}", file=sys.stderr)
-            return 2
-        if args.rows < 20:
-            print(f"repro bench: --rows must be >= 20 for concurrency, "
-                  f"got {args.rows}", file=sys.stderr)
-            return 2
-        if not 0.0 <= args.loss < 1.0:
-            print(f"repro bench: --loss must be in [0, 1), got "
-                  f"{args.loss}", file=sys.stderr)
-            return 2
-        payload = run_concurrency_bench(max_tenants=args.tenants,
-                                        rows=args.rows,
-                                        loss_rate=args.loss,
-                                        reorder_window=args.reorder,
-                                        shards=args.shards,
-                                        seed=args.seed)
-        path = emit_bench_json("concurrency", payload, args.results_dir)
-        print(f"concurrency bench: tenants up to {args.tenants} "
-              f"rows={args.rows} loss={args.loss} shards={args.shards}")
-        for row in payload["runs"]:
-            print(f"  tenants={row['tenants']:<3d} "
-                  f"makespan={row['makespan_ticks']} ticks "
-                  f"throughput={row['throughput_entries_per_tick']:.2f} "
-                  f"entries/tick "
-                  f"consolidation={row['consolidation_speedup']:.2f}x "
-                  f"equivalent={row['all_equivalent']}")
-        print(f"  throughput scaling at {args.tenants} tenants: "
-              f"{payload['throughput_scaling']:.2f}x")
-        if payload["all_equivalent"] is not True:
-            print("  ERROR: a tenant diverged from QueryPlan.run",
-                  file=sys.stderr)
-            return 1
-    elif args.name == "replay":
-        if args.queries < 1:
-            print(f"repro bench: --queries must be >= 1, got "
-                  f"{args.queries}", file=sys.stderr)
-            return 2
-        if args.rows < 20:
-            print(f"repro bench: --rows must be >= 20 for replay, got "
-                  f"{args.rows}", file=sys.stderr)
-            return 2
-        if not 0.0 <= args.loss < 1.0:
-            print(f"repro bench: --loss must be in [0, 1), got "
-                  f"{args.loss}", file=sys.stderr)
-            return 2
-        payload = run_replay_bench(queries=args.queries, rows=args.rows,
-                                   slots=args.slots,
-                                   loss_rate=args.loss,
-                                   reorder_window=args.reorder,
-                                   shards=args.shards, seed=args.seed)
-        path = emit_bench_json("replay", payload, args.results_dir)
-        print(f"replay bench: {args.queries} queries/trace "
-              f"rows={args.rows} slots={args.slots} loss={args.loss} "
-              f"shards={args.shards}")
-        for run in payload["runs"]:
-            latency = run["latency"]
-            occupancy = run["occupancy"]
-            print(f"  {run['process']:8s} served={run['served']:<3d} "
-                  f"makespan={run['ticks']} ticks "
-                  f"p50={latency['p50_ticks']} "
-                  f"p95={latency['p95_ticks']} "
-                  f"p99={latency['p99_ticks']} "
-                  f"occ mean={occupancy['mean']:.2f} "
-                  f"peak={occupancy['peak']} "
-                  f"equivalent={run['all_equivalent']}")
-        if payload["all_equivalent"] is not True:
-            print("  ERROR: a replayed tenant diverged from "
-                  "QueryPlan.run", file=sys.stderr)
-            return 1
-    elif args.name == "qos":
-        if args.rows < 20:
-            print(f"repro bench: --rows must be >= 20 for qos, got "
-                  f"{args.rows}", file=sys.stderr)
-            return 2
-        if not 0.0 <= args.loss < 1.0:
-            print(f"repro bench: --loss must be in [0, 1), got "
-                  f"{args.loss}", file=sys.stderr)
-            return 2
-        try:
-            payload = run_qos_bench(batch_rows=args.rows,
-                                    slots=args.slots,
-                                    loss_rate=args.loss,
-                                    reorder_window=args.reorder,
-                                    shards=args.shards, seed=args.seed)
-        except ValueError as error:
-            print(f"repro bench: {error}", file=sys.stderr)
-            return 2
-        path = emit_bench_json("qos", payload, args.results_dir)
-        print(f"qos bench: {payload['batch_tenants']} batch + "
-              f"{payload['interactive_tenants']} interactive tenants, "
-              f"{args.slots} slots, batch rows={args.rows}, "
-              f"loss={args.loss}")
-        for run in payload["runs"]:
-            classes = run["classes"]
-            preempts = payload["preemption_events"][run["policy"]]
-            print(f"  {run['policy']:17s} "
-                  f"interactive p99="
-                  f"{classes['interactive']['latency']['p99_ticks']} "
-                  f"batch p99={classes['batch']['latency']['p99_ticks']} "
-                  f"preemptions={preempts} "
-                  f"equivalent={run['all_equivalent']}")
-        improvement = payload["interactive_p99_improvement"]
-        print(f"  interactive p99 improvement from preemption: "
-              f"{improvement:.2f}x")
-        if payload["all_equivalent"] is not True:
-            print("  ERROR: a tenant diverged from QueryPlan.run "
-                  "(preemption broke result identity?)",
-                  file=sys.stderr)
-            return 1
-    elif args.name == "chaos":
-        if args.rows < 20:
-            print(f"repro bench: --rows must be >= 20 for chaos, got "
-                  f"{args.rows}", file=sys.stderr)
-            return 2
-        if not 0.0 <= args.loss < 1.0:
-            print(f"repro bench: --loss must be in [0, 1), got "
-                  f"{args.loss}", file=sys.stderr)
-            return 2
-        shards = args.shards if args.shards > 1 else 3
-        try:
-            payload = run_chaos_bench(rows=args.rows, slots=args.slots,
-                                      loss_rate=args.loss,
-                                      reorder_window=args.reorder,
-                                      shards=shards, seed=args.seed,
-                                      kills=args.kills)
-        except ValueError as error:
-            print(f"repro bench: {error}", file=sys.stderr)
-            return 2
-        path = emit_bench_json("chaos", payload, args.results_dir)
-        print(f"chaos bench: {payload['tenants']} tenants, "
-              f"{args.slots} slots, shards={shards}, "
-              f"loss={args.loss}, {args.kills} kills")
-        for record in payload["timeline"]:
-            effect = {
-                "kill_shard": lambda r: f"{r['migrated_queries']} "
-                                        "queries migrated",
-                "restart": lambda r: f"{r['restored_queries']} restored"
-                                     + (f" after {r['recovery_ticks']} "
-                                        "ticks" if "recovery_ticks" in r
-                                        else ""),
-                "kill_worker": lambda r: f"{r['replayed_packets']} "
-                                         "packets replayed",
-                "degrade_channel": lambda r: f"loss={r['loss_rate']} on "
-                                             f"{r['tenants_degraded']} "
-                                             "tenants",
-            }[record["event"]](record)
-            target = record.get("shard", record.get("worker", ""))
-            print(f"  tick {record['applied_tick']:<4d} "
-                  f"{record['event']} {target}: {effect}")
-        if payload["events_pending"]:
-            print(f"  ({payload['events_pending']} scheduled events "
-                  "never came due: run finished first)")
-        print(f"  baseline: {payload['baseline']['ticks']} ticks "
-              f"p99={payload['baseline']['latency']['p99_ticks']} | "
-              f"chaos: {payload['chaos']['ticks']} ticks "
-              f"p99={payload['chaos']['latency']['p99_ticks']}"
-              + (f" (p99 inflation {payload['p99_inflation']:.2f}x)"
-                 if payload["p99_inflation"] is not None else ""))
-        print(f"  migrations={payload['migrations']} "
-              f"restored={payload['restored']} "
-              f"replayed_packets={payload['replayed_packets']} "
-              f"recovery_ticks={payload['recovery_ticks']}")
-        if payload["all_equivalent"] is not True:
-            print("  ERROR: a surviving tenant diverged from "
-                  "QueryPlan.run (migration broke result identity?)",
-                  file=sys.stderr)
-            return 1
+
+def _summarize_fig11(payload) -> None:
+    largest = payload["row_counts"][-1]
+    print(f"fig11 scale bench: rows={largest} shards={payload['shards']}")
+    for name, series in sorted(payload["algorithms"].items()):
+        point = series[-1]
+        print(f"  {name:10s} packet={point['packet_seconds']:.3f}s "
+              f"batch={point['batch_seconds']:.3f}s "
+              f"speedup={point['speedup']:.1f}x "
+              f"equivalent={point['equivalent']}")
+    print(f"  overall speedup at largest row count: "
+          f"{payload['overall_speedup_at_largest']:.1f}x")
+
+
+def _summarize_e2e(payload) -> None:
+    print(f"e2e bench: rows={payload['rows']} shards={payload['shards']} "
+          f"loss={payload['loss_rate']} reorder={payload['reorder_window']}")
+    for row in payload["scenarios"] + payload["loss_sweep"]:
+        print(f"  {row['scenario']:12s} loss={row['loss_rate']:<5} "
+              f"seq={row['sequential_seconds']:.3f}s "
+              f"pipe={row['pipelined_seconds']:.3f}s "
+              f"speedup={row['speedup']:.2f}x "
+              f"equivalent={row['pipelined_equivalent']}")
+    print(f"  overall pipelined speedup: {payload['overall_speedup']:.2f}x")
+
+
+def _summarize_concurrency(payload) -> None:
+    print(f"concurrency bench: tenants up to {payload['max_tenants']} "
+          f"rows={payload['rows']} loss={payload['loss_rate']} "
+          f"shards={payload['shards']}")
+    for row in payload["runs"]:
+        print(f"  tenants={row['tenants']:<3d} "
+              f"makespan={row['makespan_ticks']} ticks "
+              f"throughput={row['throughput_entries_per_tick']:.2f} "
+              f"entries/tick "
+              f"consolidation={row['consolidation_speedup']:.2f}x "
+              f"equivalent={row['all_equivalent']}")
+    print(f"  throughput scaling at {payload['max_tenants']} tenants: "
+          f"{payload['throughput_scaling']:.2f}x")
+
+
+def _summarize_replay(payload) -> None:
+    print(f"replay bench: {payload['queries']} queries/trace "
+          f"rows={payload['rows']} slots={payload['slots']} "
+          f"loss={payload['loss_rate']} shards={payload['shards']}")
+    for run in payload["runs"]:
+        latency = run["latency"]
+        occupancy = run["occupancy"]
+        print(f"  {run['process']:8s} served={run['served']:<3d} "
+              f"makespan={run['ticks']} ticks "
+              f"p50={latency['p50_ticks']} "
+              f"p95={latency['p95_ticks']} "
+              f"p99={latency['p99_ticks']} "
+              f"occ mean={occupancy['mean']:.2f} "
+              f"peak={occupancy['peak']} "
+              f"equivalent={run['all_equivalent']}")
+
+
+def _summarize_qos(payload) -> None:
+    print(f"qos bench: {payload['batch_tenants']} batch + "
+          f"{payload['interactive_tenants']} interactive tenants, "
+          f"{payload['slots']} slots, batch rows={payload['batch_rows']}, "
+          f"loss={payload['loss_rate']}")
+    for run in payload["runs"]:
+        classes = run["classes"]
+        preempts = payload["preemption_events"][run["policy"]]
+        print(f"  {run['policy']:17s} "
+              f"interactive p99="
+              f"{classes['interactive']['latency']['p99_ticks']} "
+              f"batch p99={classes['batch']['latency']['p99_ticks']} "
+              f"preemptions={preempts} "
+              f"equivalent={run['all_equivalent']}")
+    print(f"  interactive p99 improvement from preemption: "
+          f"{payload['interactive_p99_improvement']:.2f}x")
+
+
+#: Chaos timeline event -> what it did, for the summary line.
+_CHAOS_EFFECTS = {
+    "kill_shard": lambda r: f"{r['migrated_queries']} queries migrated",
+    "restart": lambda r: f"{r['restored_queries']} restored"
+                         + (f" after {r['recovery_ticks']} ticks"
+                            if "recovery_ticks" in r else ""),
+    "kill_worker": lambda r: f"{r['replayed_packets']} packets replayed",
+    "degrade_channel": lambda r: f"loss={r['loss_rate']} on "
+                                 f"{r['tenants_degraded']} tenants",
+}
+
+
+def _summarize_chaos(payload) -> None:
+    print(f"chaos bench: {payload['tenants']} tenants, "
+          f"{payload['slots']} slots, shards={payload['shards']}, "
+          f"loss={payload['loss_rate']}, {payload['kills']} kills")
+    for record in payload["timeline"]:
+        effect = _CHAOS_EFFECTS[record["event"]](record)
+        target = record.get("shard", record.get("worker", ""))
+        print(f"  tick {record['applied_tick']:<4d} "
+              f"{record['event']} {target}: {effect}")
+    if payload["events_pending"]:
+        print(f"  ({payload['events_pending']} scheduled events "
+              "never came due: run finished first)")
+    print(f"  baseline: {payload['baseline']['ticks']} ticks "
+          f"p99={payload['baseline']['latency']['p99_ticks']} | "
+          f"chaos: {payload['chaos']['ticks']} ticks "
+          f"p99={payload['chaos']['latency']['p99_ticks']}"
+          + (f" (p99 inflation {payload['p99_inflation']:.2f}x)"
+             if payload["p99_inflation"] is not None else ""))
+    print(f"  migrations={payload['migrations']} "
+          f"restored={payload['restored']} "
+          f"replayed_packets={payload['replayed_packets']} "
+          f"recovery_ticks={payload['recovery_ticks']}")
+    if payload["all_equivalent"] is True:
         print("  survivor equivalence: OK (every tenant identical to "
               "its solo run)")
-    elif args.name == "congestion":
-        if args.rows < 20:
-            print(f"repro bench: --rows must be >= 20 for congestion, "
-                  f"got {args.rows}", file=sys.stderr)
-            return 2
-        try:
-            payload = run_congestion_bench(rows=args.rows,
-                                           shards=args.shards,
-                                           seed=args.seed,
-                                           slots=args.slots)
-        except ValueError as error:
-            print(f"repro bench: {error}", file=sys.stderr)
-            return 2
-        path = emit_bench_json("congestion", payload, args.results_dir)
-        print(f"congestion bench: rows={args.rows} slots={args.slots} "
-              f"losses={payload['losses']} "
-              f"tenants={payload['tenant_counts']} "
-              f"capacities={payload['capacities']}")
-        for cell in payload["sweep"]:
-            cap = cell["queue_capacity"]
-            print(f"  loss={cell['loss_rate']:<5} "
-                  f"tenants={cell['tenants']} "
-                  f"cap={'inf' if cap is None else cap:>3}: "
-                  f"goodput fixed="
-                  f"{cell['fixed']['goodput_entries_per_tick']} "
-                  f"aimd={cell['aimd']['goodput_entries_per_tick']} "
-                  f"(ratio {cell['goodput_ratio']}) "
-                  f"retx fixed={cell['fixed']['retransmissions']} "
-                  f"aimd={cell['aimd']['retransmissions']}")
-        fairness = payload["fairness"]
-        print(f"  fairness: mean rates {fairness['mean_rates']} "
-              f"(normalized spread {fairness['normalized_spread']})")
-        print(f"  serving interactive/batch goodput ratio: "
-              f"{payload['interactive_batch_goodput_ratio']}")
-        print(f"  congested cells (finite queue, loss >= 0.02): "
-              f"aimd/fixed goodput >= "
-              f"{payload['congested_goodput_ratio_min']}, "
-              f"retransmission overhead <= "
-              f"{payload['congested_retransmission_ratio_max']}x")
-        if payload["all_equivalent"] is not True:
-            print("  ERROR: a tenant diverged from QueryPlan.run "
-                  "(congestion control broke result identity?)",
-                  file=sys.stderr)
-            return 1
-    elif args.name == "load":
-        if args.clients < 1:
-            print(f"repro bench: --clients must be >= 1, got "
-                  f"{args.clients}", file=sys.stderr)
-            return 2
-        if args.rows < 20:
-            print(f"repro bench: --rows must be >= 20 for load, got "
-                  f"{args.rows}", file=sys.stderr)
-            return 2
-        if not 0.0 <= args.loss < 1.0:
-            print(f"repro bench: --loss must be in [0, 1), got "
-                  f"{args.loss}", file=sys.stderr)
-            return 2
-        policy = args.policy if args.policy is not None else "tiers"
-        try:
-            payload = run_load_bench(
-                clients=args.clients, rows=args.rows,
-                slots=args.slots, loss_rate=args.loss,
-                reorder_window=args.reorder, shards=args.shards,
-                seed=args.seed, policy=policy, process=args.process,
-                closed_clients=args.closed_clients,
-                closed_queries=args.closed_queries)
-        except ValueError as error:
-            print(f"repro bench: {error}", file=sys.stderr)
-            return 2
-        path = emit_bench_json("load", payload, args.results_dir)
-        print(f"load bench: {args.clients} open-loop socket clients "
-              f"({args.process} arrivals), slots={args.slots}, "
-              f"policy={policy}, loss={args.loss}")
 
-        def _phase_line(label, phase):
-            wall = phase["wall_latency"]
-            tick = phase["tick_latency"]
-            print(f"  {label}: served={phase['served']}"
-                  f"/{phase['queries']} "
-                  f"wall p50={wall['p50_seconds'] * 1e3:.1f}ms "
-                  f"p99={wall['p99_seconds'] * 1e3:.1f}ms | "
-                  f"tick p50={tick['p50_ticks']} "
-                  f"p99={tick['p99_ticks']} "
-                  f"equivalent={phase['all_equivalent']}")
 
-        _phase_line("open loop  ", payload["open_loop"])
-        if "closed_loop" in payload:
-            _phase_line("closed loop", payload["closed_loop"])
-        if payload["all_equivalent"] is not True:
-            print("  ERROR: a socket-served tenant diverged from "
-                  "QueryPlan.run", file=sys.stderr)
-            return 1
-    elif args.name == "obs":
-        if args.tenants < 1:
-            print(f"repro bench: --tenants must be >= 1, got "
-                  f"{args.tenants}", file=sys.stderr)
-            return 2
-        if args.rows < 20:
-            print(f"repro bench: --rows must be >= 20 for obs, got "
-                  f"{args.rows}", file=sys.stderr)
-            return 2
-        if not 0.0 <= args.loss < 1.0:
-            print(f"repro bench: --loss must be in [0, 1), got "
-                  f"{args.loss}", file=sys.stderr)
-            return 2
-        shards = args.shards if args.shards > 1 else 2
-        payload = run_obs_bench(tenants=args.tenants, rows=args.rows,
-                                slots=args.slots, loss_rate=args.loss,
-                                reorder_window=args.reorder,
-                                shards=shards, seed=args.seed)
-        path = emit_bench_json("obs", payload, args.results_dir)
-        serving = payload["serving"]
-        fig11 = payload["fig11"]
-        print(f"obs bench: {args.tenants} tenants rows={args.rows} "
-              f"slots={args.slots} shards={shards} loss={args.loss}")
-        print(f"  serving: off={serving['obs_off_seconds']:.3f}s "
-              f"on={serving['obs_on_seconds']:.3f}s "
-              f"overhead={serving['overhead_ratio']:.3f}x "
-              f"({serving['span_events']} span events, "
-              f"{serving['metric_names']} metrics)")
-        print(f"  fig11 kernel: off={fig11['off_seconds']:.3f}s "
-              f"on={fig11['on_seconds']:.3f}s "
-              f"overhead={fig11['overhead_ratio']:.3f}x "
-              f"({fig11['rows']} rows)")
-        print(f"  decisions identical : {payload['decisions_identical']}")
-        print(f"  exports identical   : {payload['exports_identical']}")
-        if payload["decisions_identical"] is not True:
-            print("  ERROR: obs-on decisions diverged from obs-off",
-                  file=sys.stderr)
-            return 1
-        if payload["exports_identical"] is not True:
-            print("  ERROR: repeated runs exported different bytes",
-                  file=sys.stderr)
-            return 1
-        if payload["all_equivalent"] is not True:
-            print("  ERROR: a tenant diverged from QueryPlan.run",
-                  file=sys.stderr)
-            return 1
-    elif args.name == "fig11":
-        payload = run_fig11_scale_bench(rows=args.rows, shards=args.shards,
-                                        batch_size=args.batch_size,
-                                        seed=args.seed)
-        path = emit_bench_json("fig11", payload, args.results_dir)
-        largest = payload["row_counts"][-1]
-        print(f"fig11 scale bench: rows={largest} shards={args.shards}")
-        for name, series in sorted(payload["algorithms"].items()):
-            point = series[-1]
-            print(f"  {name:10s} packet={point['packet_seconds']:.3f}s "
-                  f"batch={point['batch_seconds']:.3f}s "
-                  f"speedup={point['speedup']:.1f}x "
-                  f"equivalent={point['equivalent']}")
-        print(f"  overall speedup at largest row count: "
-              f"{payload['overall_speedup_at_largest']:.1f}x")
-        if payload["all_equivalent"] is False:
-            print("  ERROR: batched decisions diverged from per-packet",
-                  file=sys.stderr)
-            return 1
-    else:
-        payload = run_fig5_bench(scale=args.scale, seed=args.seed,
-                                 shards=args.shards)
-        path = emit_bench_json("fig5", payload, args.results_dir)
-        print(f"fig5 bench: scale={args.scale} shards={args.shards} "
-              f"wall={payload['wall_seconds']:.2f}s "
-              f"({len(payload['rows'])} query rows)")
+def _summarize_congestion(payload) -> None:
+    print(f"congestion bench: rows={payload['rows']} "
+          f"slots={payload['slots']} losses={payload['losses']} "
+          f"tenants={payload['tenant_counts']} "
+          f"capacities={payload['capacities']}")
+    for cell in payload["sweep"]:
+        cap = cell["queue_capacity"]
+        print(f"  loss={cell['loss_rate']:<5} "
+              f"tenants={cell['tenants']} "
+              f"cap={'inf' if cap is None else cap:>3}: "
+              f"goodput fixed="
+              f"{cell['fixed']['goodput_entries_per_tick']} "
+              f"aimd={cell['aimd']['goodput_entries_per_tick']} "
+              f"(ratio {cell['goodput_ratio']}) "
+              f"retx fixed={cell['fixed']['retransmissions']} "
+              f"aimd={cell['aimd']['retransmissions']}")
+    fairness = payload["fairness"]
+    print(f"  fairness: mean rates {fairness['mean_rates']} "
+          f"(normalized spread {fairness['normalized_spread']})")
+    print(f"  serving interactive/batch goodput ratio: "
+          f"{payload['interactive_batch_goodput_ratio']}")
+    print(f"  congested cells (finite queue, loss >= 0.02): "
+          f"aimd/fixed goodput >= "
+          f"{payload['congested_goodput_ratio_min']}, "
+          f"retransmission overhead <= "
+          f"{payload['congested_retransmission_ratio_max']}x")
+
+
+def _summarize_load(payload) -> None:
+    print(f"load bench: {payload['clients']} open-loop socket clients "
+          f"({payload['process']} arrivals), slots={payload['slots']}, "
+          f"policy={payload['policy']}, loss={payload['loss_rate']}")
+    phases = [("open loop  ", "open_loop"), ("closed loop", "closed_loop")]
+    for label, key in phases:
+        if key not in payload:
+            continue
+        phase = payload[key]
+        wall = phase["wall_latency"]
+        tick = phase["tick_latency"]
+        print(f"  {label}: served={phase['served']}/{phase['queries']} "
+              f"wall p50={wall['p50_seconds'] * 1e3:.1f}ms "
+              f"p99={wall['p99_seconds'] * 1e3:.1f}ms | "
+              f"tick p50={tick['p50_ticks']} p99={tick['p99_ticks']} "
+              f"equivalent={phase['all_equivalent']}")
+
+
+def _summarize_obs(payload) -> None:
+    serving = payload["serving"]
+    fig11 = payload["fig11"]
+    print(f"obs bench: {payload['tenants']} tenants rows={payload['rows']} "
+          f"slots={payload['slots']} shards={payload['shards']} "
+          f"loss={payload['loss_rate']}")
+    print(f"  serving: off={serving['obs_off_seconds']:.3f}s "
+          f"on={serving['obs_on_seconds']:.3f}s "
+          f"overhead={serving['overhead_ratio']:.3f}x "
+          f"({serving['span_events']} span events, "
+          f"{serving['metric_names']} metrics)")
+    print(f"  fig11 kernel: off={fig11['off_seconds']:.3f}s "
+          f"on={fig11['on_seconds']:.3f}s "
+          f"overhead={fig11['overhead_ratio']:.3f}x "
+          f"({fig11['rows']} rows)")
+    print(f"  decisions identical : {payload['decisions_identical']}")
+    print(f"  exports identical   : {payload['exports_identical']}")
+
+
+#: ``repro bench`` flags, keyed by the runner keyword each one sets:
+#: keyword -> (flag, argparse options).  No default lives here: a flag
+#: reaches the runner only when given, so the runner's signature is the
+#: one place a bench default is defined (``--help`` prints it).
+_BENCH_FLAGS = {
+    "rows": ("--rows", {"type": int, "help": "rows per tenant scenario "
+                        "(fig11: largest stream length)"}),
+    "batch_rows": ("--rows", {"type": int,
+                              "help": "rows per batch-class tenant"}),
+    "tenants": ("--tenants", {"type": int, "help": "concurrent tenants"}),
+    "max_tenants": ("--tenants", {"type": int,
+                                  "help": "largest tenant count"}),
+    "queries": ("--queries", {"type": int,
+                              "help": "queries per generated trace"}),
+    "clients": ("--clients", {"type": int,
+                              "help": "open-loop socket clients"}),
+    "process": ("--process", {"choices": ["poisson", "burst", "diurnal",
+                                          "pareto"],
+                              "help": "open-loop arrival process"}),
+    "closed_clients": ("--closed-clients", {
+        "type": int, "help": "closed-loop connections (0 skips the "
+        "closed-loop phase)"}),
+    "closed_queries": ("--closed-queries", {
+        "type": int, "help": "back-to-back queries per closed-loop "
+        "connection"}),
+    "kills": ("--kills", {"type": int, "help": "kill events in the "
+                          "generated failure schedule"}),
+    "loss_rate": ("--loss", {"type": float, "help": "per-channel loss "
+                             "probability in [0, 1)"}),
+    "reorder_window": ("--reorder", {"type": int,
+                                     "help": "channel reorder window"}),
+    "shards": ("--shards", {"type": int, "help": "simulated switch "
+                            "pipelines to hash-partition entries across"}),
+    "slots": ("--slots", {"type": int, "help": "serving-slot budget"}),
+    "policy": ("--policy", {"help": "QoS policy: fifo, tiers, "
+                            "tiers-no-preempt, or a custom class spec "
+                            "(see docs/QOS.md)"}),
+    "seed": ("--seed", {"type": int, "help": "deterministic master seed"}),
+    "batch_size": ("--batch-size", {"type": int, "help": "entries per "
+                                    "batch on the batched path"}),
+    "scale": ("--scale", {"type": float,
+                          "help": "workload sampling scale"}),
+}
+
+#: bench name -> (its ``repro.bench.runner`` function, the runner
+#: keywords it takes flags for, its stdout summary of the payload).
+BENCHES = {
+    "fig5": ("run_fig5_bench", ("scale", "shards", "seed"),
+             _summarize_fig5),
+    "fig11": ("run_fig11_scale_bench",
+              ("rows", "shards", "batch_size", "seed"), _summarize_fig11),
+    "e2e": ("run_e2e_bench",
+            ("rows", "shards", "loss_rate", "reorder_window", "seed"),
+            _summarize_e2e),
+    "concurrency": ("run_concurrency_bench",
+                    ("max_tenants", "rows", "loss_rate", "reorder_window",
+                     "shards", "seed"), _summarize_concurrency),
+    "replay": ("run_replay_bench",
+               ("queries", "rows", "slots", "loss_rate", "reorder_window",
+                "shards", "seed"), _summarize_replay),
+    "qos": ("run_qos_bench",
+            ("batch_rows", "slots", "loss_rate", "reorder_window",
+             "shards", "seed"), _summarize_qos),
+    "chaos": ("run_chaos_bench",
+              ("rows", "slots", "loss_rate", "reorder_window", "shards",
+               "seed", "kills"), _summarize_chaos),
+    "congestion": ("run_congestion_bench",
+                   ("rows", "shards", "seed", "slots"),
+                   _summarize_congestion),
+    "load": ("run_load_bench",
+             ("clients", "rows", "slots", "loss_rate", "reorder_window",
+              "shards", "seed", "policy", "process", "closed_clients",
+              "closed_queries"), _summarize_load),
+    "obs": ("run_obs_bench",
+            ("tenants", "rows", "slots", "loss_rate", "reorder_window",
+             "shards", "seed"), _summarize_obs),
+}
+
+#: Payload keys that must be ``True`` when present; any other value
+#: fails the bench (exit 1).
+_BENCH_CHECKS = ("all_equivalent", "decisions_identical",
+                 "exports_identical")
+
+
+def _bench(args) -> int:
+    """``repro bench <name>``: run the bench's runner with exactly the
+    flags given, write ``BENCH_<name>.json``, print its summary, and
+    exit 1 if a payload check is not ``True`` (2 on bad input)."""
+    runner_name, keywords, summarize = BENCHES[args.name]
+    kwargs = {key: getattr(args, key) for key in keywords
+              if hasattr(args, key)}
+    try:
+        payload = getattr(bench_runner, runner_name)(**kwargs)
+    except ValueError as error:
+        print(f"repro bench: {error}", file=sys.stderr)
+        return 2
+    path = bench_runner.emit_bench_json(args.name, payload,
+                                        args.results_dir)
+    summarize(payload)
+    failed = [key for key in _BENCH_CHECKS
+              if key in payload and payload[key] is not True]
+    if failed:
+        print(f"  ERROR: {args.name} bench failed its checks: "
+              + ", ".join(f"{key}={payload[key]}" for key in failed),
+              file=sys.stderr)
+        return 1
     print(f"  -> saved {path}")
     return 0
+
+
+def _add_bench_parsers(sub) -> None:
+    """``repro bench <name>``: one nested parser per :data:`BENCHES`
+    row, holding only the flags that bench's runner reads."""
+    bench_parser = sub.add_parser(
+        "bench", help="run a benchmark and emit BENCH_<name>.json "
+        "(`repro bench <name> --help` lists its flags and defaults)")
+    benches = bench_parser.add_subparsers(dest="name", required=True,
+                                          metavar="name")
+    for name, (runner_name, keywords, _) in BENCHES.items():
+        runner = getattr(bench_runner, runner_name)
+        params = inspect.signature(runner).parameters
+        parser = benches.add_parser(
+            name, help=runner.__doc__.splitlines()[0].rstrip("."))
+        for keyword in keywords:
+            flag, options = _BENCH_FLAGS[keyword]
+            parser.add_argument(
+                flag, dest=keyword, default=argparse.SUPPRESS,
+                **{**options, "help": f"{options['help']} (default: "
+                   f"{params[keyword].default})"})
+        parser.add_argument("--results-dir", default=None,
+                            help="output dir (default: results/)")
 
 
 def _profile(args) -> int:
@@ -1199,7 +1108,7 @@ def _serving_flags(loss=None, shards=None, slots=None, policy=None,
     """The shared ``--loss/--shards/--slots/--policy/--seed`` parent.
 
     One definition point so the flags spell and behave identically
-    across ``serve``/``replay``/``bench`` (the matrix of per-command
+    across ``serve``/``replay``/``chaos`` (the matrix of per-command
     defaults is documented in README.md).  A fresh parser per
     subcommand, because argparse ``parents=`` shares action objects —
     one subcommand's default would otherwise leak into the others.
@@ -1491,59 +1400,7 @@ def build_parser() -> argparse.ArgumentParser:
                                help="inject faults from this JSON-lines "
                                "failure schedule (docs/CHAOS.md)")
 
-    bench_parser = sub.add_parser(
-        "bench",
-        parents=[_serving_flags(
-            loss=0.05, shards=1,
-            slots_help="serving-slot budget (replay: default 2; "
-                       "qos: 3; load: 8)")],
-        help="run a perf benchmark (batched vs per-packet "
-        "dataplane; 'e2e' times the full simulated cluster; "
-        "'concurrency' measures multi-tenant serving; 'replay' measures "
-        "tail latency under trace-replay arrivals; 'qos' measures "
-        "interactive p99 with vs without slot preemption; 'chaos' "
-        "measures serving under seeded fault injection; 'load' "
-        "drives a concurrent client swarm against a live socket "
-        "server; 'obs' measures observability overhead and asserts "
-        "obs-on decisions are bit-identical to obs-off) and emit "
-        "BENCH_<name>.json")
-    bench_parser.add_argument("name", choices=["fig5", "fig11", "e2e",
-                                               "concurrency", "replay",
-                                               "qos", "chaos", "load",
-                                               "congestion", "obs"])
-    bench_parser.add_argument("--rows", type=int, default=None,
-                              help="largest stream length (fig11: "
-                              "default 60000) or scenario size (e2e: "
-                              "default 1200; concurrency: default 240; "
-                              "qos: batch-tenant rows, default 260)")
-    bench_parser.add_argument("--tenants", type=int, default=8,
-                              help="concurrency: largest tenant count")
-    bench_parser.add_argument("--queries", type=int, default=8,
-                              help="replay: queries per generated trace")
-    bench_parser.add_argument("--clients", type=int, default=256,
-                              help="load: open-loop socket clients")
-    bench_parser.add_argument("--process",
-                              choices=["poisson", "burst", "diurnal",
-                                       "pareto"],
-                              default="poisson",
-                              help="load: open-loop arrival process")
-    bench_parser.add_argument("--closed-clients", type=int, default=16,
-                              help="load: closed-loop connections "
-                              "(0 skips the closed-loop phase)")
-    bench_parser.add_argument("--closed-queries", type=int, default=2,
-                              help="load: back-to-back queries per "
-                              "closed-loop connection")
-    bench_parser.add_argument("--kills", type=int, default=2,
-                              help="chaos: kill events in the "
-                              "generated failure schedule")
-    bench_parser.add_argument("--reorder", type=int, default=2,
-                              help="e2e/load: channel reorder window")
-    bench_parser.add_argument("--batch-size", type=int, default=8192,
-                              help="entries per batch on the batched path")
-    bench_parser.add_argument("--scale", type=float, default=5e-4,
-                              help="workload sampling scale (fig5)")
-    bench_parser.add_argument("--results-dir", default=None,
-                              help="output dir (default: results/)")
+    _add_bench_parsers(sub)
 
     profile_parser = sub.add_parser(
         "profile",

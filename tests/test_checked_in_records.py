@@ -1,12 +1,14 @@
-"""The checked-in deterministic records regenerate byte-for-byte.
+"""The checked-in deterministic records regenerate byte-for-byte and
+keep the claims they were recorded for.
 
-CI reruns these benches twice and compares the runs with each other,
-which a deterministic change of decisions passes.  Comparing against
-``results/`` pins the decisions themselves: any change that moves a
-scheduling, pruning or transport decision shows up as a diff here and
-must re-record the file on purpose.
+Comparing a fresh run against ``results/`` pins the decisions
+themselves: any change that moves a scheduling, pruning or transport
+decision shows up as a diff here and must re-record the file on
+purpose.  Because a fresh run equals the checked-in file, the claim
+predicates below are asserted on the checked-in JSON.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -33,3 +35,78 @@ def test_record_regenerates_identically(record, tmp_path, capsys):
     fresh = (tmp_path / record).read_bytes()
     assert fresh == (RESULTS / record).read_bytes(), (
         f"{record} differs from results/{record}")
+
+
+def _replay_claims(replay):
+    assert replay["benchmark"] == "trace_replay"
+    assert replay["all_equivalent"] is True
+    assert set(replay["processes"]) == {"poisson", "burst", "diurnal",
+                                        "pareto"}
+    # Tail latency + slot occupancy per arrival process, tick-based.
+    for process in replay["processes"]:
+        assert replay["p99_latency_ticks"][process] > 0, process
+        assert replay["peak_occupancy"][process] >= 1, process
+    for run in replay["runs"]:
+        latency = run["latency"]
+        assert (latency["p50_ticks"] <= latency["p95_ticks"]
+                <= latency["p99_ticks"]), run["process"]
+        assert run["occupancy"]["peak"] <= replay["slots"], run["process"]
+        assert run["occupancy"]["mean"] is not None, run["process"]
+        assert run["occupancy"]["timeline"], run["process"]
+
+
+def _qos_claims(qos):
+    assert qos["benchmark"] == "qos"
+    # Result identity survives preemption, and preemption helps the
+    # interactive tail.
+    assert qos["all_equivalent"] is True
+    p99 = qos["interactive_p99_ticks"]
+    assert p99["tiers"] < p99["tiers-no-preempt"], p99
+    assert qos["interactive_p99_improvement"] > 1.0
+    assert qos["preemption_events"]["tiers"] > 0
+    assert qos["preemption_events"]["tiers-no-preempt"] == 0
+
+
+def _chaos_claims(chaos):
+    assert chaos["benchmark"] == "chaos"
+    # A shard was killed mid-query, its installed queries migrated to
+    # survivors, a restart restored one, and every surviving tenant
+    # still equals its solo QueryPlan.run.
+    assert chaos["migrations"] >= 1
+    assert chaos["all_equivalent"] is True
+    assert "kill_shard" in {event["event"] for event in chaos["timeline"]}
+    assert chaos["restored"] >= 1
+    assert (chaos["baseline"]["served"] == chaos["chaos"]["served"]
+            == chaos["tenants"])
+
+
+def _congestion_claims(congestion):
+    assert congestion["benchmark"] == "congestion"
+    # Under finite ingress queues and loss >= 0.02, AIMD beats the
+    # fixed schedule on goodput with fewer retransmissions, and never
+    # changes a result.
+    assert congestion["all_equivalent"] is True
+    assert congestion["congested_goodput_ratio_min"] >= 1.0
+    assert congestion["congested_retransmission_ratio_max"] < 1.0
+    congested = [cell for cell in congestion["sweep"] if cell["congested"]]
+    assert congested
+    for cell in congested:
+        assert cell["goodput_ratio"] >= 1.0, cell
+    fairness = congestion["fairness"]
+    rates = fairness["mean_rates"]
+    assert rates["interactive"] > rates["standard"] > rates["batch"], rates
+    assert fairness["normalized_spread"] < 2.0, fairness
+
+
+#: record file -> the claims its payload must keep.
+CLAIMS = {
+    "BENCH_replay.json": _replay_claims,
+    "BENCH_qos.json": _qos_claims,
+    "BENCH_chaos.json": _chaos_claims,
+    "BENCH_congestion.json": _congestion_claims,
+}
+
+
+@pytest.mark.parametrize("record", sorted(CLAIMS))
+def test_record_keeps_its_claims(record):
+    CLAIMS[record](json.loads((RESULTS / record).read_text()))

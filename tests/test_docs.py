@@ -39,6 +39,23 @@ def test_cli_flag_check_rejects_a_bogus_flag(tmp_path):
     assert check_docs.check_cli_flags([bad]) == 2
 
 
+def test_cli_flag_check_reads_each_bench_parser(tmp_path):
+    """``repro bench <name>`` flags are checked against that bench's
+    own parser: ``--kills`` belongs to chaos, not e2e."""
+    sys.path.insert(0, str(REPO_ROOT / "scripts"))
+    try:
+        import check_docs
+    finally:
+        sys.path.pop(0)
+    good = tmp_path / "good.md"
+    good.write_text("Run `repro bench chaos --kills 2 --seed 0` or "
+                    "`repro bench <name> --help`.\n")
+    bad = tmp_path / "bad.md"
+    bad.write_text("Run `repro bench e2e --kills 2`.\n")
+    assert check_docs.check_cli_flags([good]) == 0
+    assert check_docs.check_cli_flags([bad]) == 1
+
+
 def test_architecture_docs_exist_and_crosslink():
     docs = REPO_ROOT / "docs"
     architecture = (docs / "ARCHITECTURE.md").read_text()
