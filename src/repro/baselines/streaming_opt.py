@@ -18,7 +18,7 @@ which the benches plot under the measured algorithm curves.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Set, Tuple
 
 
 def opt_unpruned_distinct(stream: Sequence) -> float:
@@ -110,27 +110,12 @@ def opt_unpruned_having(stream: Sequence[Tuple], threshold: float,
     return winners / len(stream)
 
 
-def opt_unpruned_series(kind: str, stream: Sequence,
-                        checkpoints: Iterable[int], **params) -> List[float]:
+def opt_unpruned_series(opt: Callable[[Sequence], float],
+                        stream: Sequence,
+                        checkpoints: Iterable[int]) -> List[float]:
     """OPT unpruned fraction at growing prefixes (Fig. 11's x-axis).
 
-    ``kind`` selects the per-op function; ``params`` are forwarded
-    (e.g. ``n=250`` for topn, ``threshold=...`` for having).
+    ``opt`` is one of the per-op functions above, with any parameters
+    bound (e.g. ``lambda s: opt_unpruned_topn(s, 250)``).
     """
-    out = []
-    for checkpoint in checkpoints:
-        prefix = stream[:checkpoint]
-        if kind == "distinct":
-            out.append(opt_unpruned_distinct(prefix))
-        elif kind == "topn":
-            out.append(opt_unpruned_topn(prefix, params["n"]))
-        elif kind == "skyline":
-            out.append(opt_unpruned_skyline(prefix))
-        elif kind == "groupby":
-            out.append(opt_unpruned_groupby_max(prefix))
-        elif kind == "having":
-            out.append(opt_unpruned_having(prefix, params["threshold"],
-                                           params.get("aggregate", "sum")))
-        else:
-            raise ValueError(f"no OPT series for kind {kind!r}")
-    return out
+    return [opt(stream[:checkpoint]) for checkpoint in checkpoints]

@@ -642,9 +642,8 @@ def fig11_scale(stream_length: int = 150_000,
         for checkpoint, frac in zip(checkpoints, series):
             rows.append({"series": f"d={d}", "entries": checkpoint,
                          "unpruned": frac})
-    for checkpoint, frac in zip(
-            checkpoints, opt.opt_unpruned_series("distinct", stream,
-                                                 checkpoints)):
+    for checkpoint, frac in zip(checkpoints, opt.opt_unpruned_series(
+            opt.opt_unpruned_distinct, stream, checkpoints)):
         rows.append({"series": "opt", "entries": checkpoint,
                      "unpruned": frac})
     results.append(ExperimentResult(
@@ -663,8 +662,8 @@ def fig11_scale(stream_length: int = 150_000,
         for checkpoint, frac in zip(ckpt_sky, series):
             rows.append({"series": f"w={w}", "entries": checkpoint,
                          "unpruned": frac})
-    for checkpoint, frac in zip(
-            ckpt_sky, opt.opt_unpruned_series("skyline", points, ckpt_sky)):
+    for checkpoint, frac in zip(ckpt_sky, opt.opt_unpruned_series(
+            opt.opt_unpruned_skyline, points, ckpt_sky)):
         rows.append({"series": "opt", "entries": checkpoint,
                      "unpruned": frac})
     results.append(ExperimentResult(
@@ -701,9 +700,8 @@ def fig11_scale(stream_length: int = 150_000,
         for checkpoint, frac in zip(checkpoints, series):
             rows.append({"series": f"w={w}", "entries": checkpoint,
                          "unpruned": frac})
-    for checkpoint, frac in zip(
-            checkpoints, opt.opt_unpruned_series("groupby", keyed,
-                                                 checkpoints)):
+    for checkpoint, frac in zip(checkpoints, opt.opt_unpruned_series(
+            opt.opt_unpruned_groupby_max, keyed, checkpoints)):
         rows.append({"series": "opt", "entries": checkpoint,
                      "unpruned": frac})
     results.append(ExperimentResult(

@@ -514,16 +514,16 @@ def run_concurrency_bench(max_tenants: int = 8, rows: int = 240,
     entries-per-tick at one tenant.
     """
     from repro.cluster.scheduler import (
-        DEFAULT_TENANT_MIX,
         QueryScheduler,
         SchedulerConfig,
         tenant_specs,
     )
     from repro.cluster.simulation import ClusterSimulation, build_scenario
+    from repro.workloads.traces import DEFAULT_MIX
 
     if max_tenants < 1:
         raise ValueError(f"max_tenants must be >= 1, got {max_tenants}")
-    mix = tuple(scenario_mix or DEFAULT_TENANT_MIX)
+    mix = tuple(scenario_mix or DEFAULT_MIX)
     counts = [1]
     while counts[-1] * 2 <= max_tenants:
         counts.append(counts[-1] * 2)
@@ -634,14 +634,14 @@ def run_replay_bench(queries: int = 8, rows: int = 100, slots: int = 2,
     from repro.cluster.scheduler import SchedulerConfig, replay_trace
     from repro.workloads.traces import (
         ARRIVAL_PROCESSES,
-        DEFAULT_REPLAY_MIX,
+        DEFAULT_MIX,
         generate_trace,
     )
 
     if queries < 1:
         raise ValueError(f"queries must be >= 1, got {queries}")
     processes = tuple(processes or ARRIVAL_PROCESSES)
-    mix = tuple(scenario_mix or DEFAULT_REPLAY_MIX)
+    mix = tuple(scenario_mix or DEFAULT_MIX)
     config = SchedulerConfig(slots=slots, loss_rate=loss_rate,
                              reorder_window=reorder_window,
                              shards=shards, seed=seed)

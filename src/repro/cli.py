@@ -61,6 +61,7 @@ from typing import Callable, Dict, List
 from repro.bench import experiments as ex
 from repro.bench import runner as bench_runner
 from repro.bench.runner import ExperimentResult, save_result
+from repro.switch.operators import OPERATORS
 
 #: Experiment registry: id -> zero-argument callable.
 EXPERIMENTS: Dict[str, Callable[[], object]] = {
@@ -368,15 +369,15 @@ def _serve(args) -> int:
     """Serve N concurrent tenants over shared simulated switches."""
     from repro.cluster.qos import parse_policy
     from repro.cluster.scheduler import (
-        DEFAULT_TENANT_MIX,
         QueryScheduler,
         SchedulerConfig,
         tenant_specs,
     )
     from repro.cluster.simulation import SCENARIOS, SimulationError
+    from repro.workloads.traces import DEFAULT_MIX
 
     mix = (tuple(args.mix.split(",")) if args.mix
-           else DEFAULT_TENANT_MIX)
+           else DEFAULT_MIX)
     unknown = [name for name in mix if name not in SCENARIOS]
     if unknown:
         print(f"repro serve: unknown scenarios in --mix: "
@@ -486,11 +487,11 @@ def _replay(args) -> int:
         if trace_file:
             trace = load_trace(trace_file)
         else:
-            from repro.workloads.traces import DEFAULT_REPLAY_MIX
+            from repro.workloads.traces import DEFAULT_MIX
 
             trace = generate_trace(
                 args.gen, queries=args.queries, rows=args.rows,
-                seed=args.seed, mix=mix or DEFAULT_REPLAY_MIX,
+                seed=args.seed, mix=mix or DEFAULT_MIX,
                 interarrival=args.interarrival,
                 burst_size=args.burst_size, burst_gap=args.burst_gap,
                 period=args.period, alpha=args.alpha,
@@ -1072,7 +1073,7 @@ def _profile(args) -> int:
 
 
 def _sql_demo(statement: str) -> int:
-    from repro.db import QueryPlanner, Table, execute, parse_sql
+    from repro.db import JoinQuery, QueryPlanner, Table, execute, parse_sql
 
     products = Table.from_rows("Products", [
         {"name": "Burger", "seller": "McCheetah", "price": 4},
@@ -1089,7 +1090,7 @@ def _sql_demo(statement: str) -> int:
     ])
     tables = {"Products": products, "Ratings": ratings}
     query = parse_sql(statement)
-    source = (tables if query.query_type == "join"
+    source = (tables if isinstance(query, JoinQuery)
               else tables["Ratings" if "Ratings" in statement
                           else "Products"])
     run = QueryPlanner().plan(query).run(source)
@@ -1427,10 +1428,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p4_parser = sub.add_parser("p4", help="emit P4-style source for a "
                                "query type at its Table 2 defaults")
-    p4_parser.add_argument("query_type",
-                           choices=["distinct", "topn_det", "topn_rand",
-                                    "groupby", "join", "having",
-                                    "skyline", "filter"])
+    p4_parser.add_argument("query_type", choices=[
+        choice for operator in OPERATORS.values()
+        for choice in operator.p4_examples])
 
     obs_parser = sub.add_parser(
         "obs", help="inspect observability exports "
@@ -1562,28 +1562,14 @@ def _dump_openmetrics(path: str, text: str) -> int:
     return 0
 
 
-def _p4_demo(query_type: str) -> int:
-    from repro.core.distinct import DistinctPruner
-    from repro.core.expr import Col
-    from repro.core.filtering import FilterPruner
-    from repro.core.groupby import GroupByPruner
-    from repro.core.having import HavingPruner
-    from repro.core.join import JoinPruner
-    from repro.core.skyline import SkylinePruner
-    from repro.core.topn import TopNDeterministic, TopNRandomized
+def _p4_demo(choice: str) -> int:
+    from repro.switch.compiler import QueryCompiler, QuerySpec
     from repro.switch.p4gen import generate_p4
 
-    defaults = {
-        "distinct": lambda: DistinctPruner(rows=4096, width=2),
-        "topn_det": lambda: TopNDeterministic(n=250, thresholds=4),
-        "topn_rand": lambda: TopNRandomized(n=250, rows=4096, width=4),
-        "groupby": lambda: GroupByPruner(rows=4096, width=8),
-        "join": lambda: JoinPruner(),
-        "having": lambda: HavingPruner(threshold=1e6, width=1024, depth=3),
-        "skyline": lambda: SkylinePruner(dimensions=2, width=10),
-        "filter": lambda: FilterPruner(Col("c") > 0),
-    }
-    print(generate_p4(defaults[query_type]()))
+    for operator in OPERATORS.values():
+        if choice in operator.p4_examples:
+            spec = QuerySpec(operator.name, operator.p4_examples[choice])
+            print(generate_p4(QueryCompiler().build(spec)))
     return 0
 
 

@@ -34,6 +34,7 @@ from repro.switch.controlplane import (
     QueryCheckpoint,
     RuleInstallation,
 )
+from repro.switch.operators import OPERATORS
 from repro.switch.resources import SwitchModel, TOFINO_MODEL
 
 TableSet = Union[Table, Mapping[str, Table]]
@@ -47,22 +48,19 @@ COMPOUND_PIPELINE_FACTOR = 0.75
 _SHARD_ROUTE_SALT = 0x5A4D
 
 
-def shard_key_fn(query_type: str) -> Optional[Callable]:
+def shard_key_fn(query_type: Optional[str]) -> Optional[Callable]:
     """Routing-key extractor for a query type's wire entries.
 
     Stateful pruners need all entries of one logical key on the same
     shard (a JOIN key must hit the shard whose Bloom filter saw it in
     pass 1; a group's entries must share a slot row), so routing hashes
-    the key component.  ``None`` means "route on the entry itself"
-    (DISTINCT values, TOP-N values, SKYLINE points), with an arrival
-    counter as fallback for unhashable entries (filter rows — the
-    FilterPruner is stateless, so any deterministic spread is sound).
+    the operator table's key component.  ``None`` means "route on the
+    entry itself" (DISTINCT values, TOP-N values, SKYLINE points), with
+    an arrival counter as fallback for unhashable entries (filter rows —
+    the FilterPruner is stateless, so any deterministic spread is sound).
     """
-    if query_type == "join":
-        return lambda entry: entry[1]
-    if query_type in ("groupby", "having"):
-        return lambda entry: entry[0]
-    return None
+    operator = OPERATORS.get(query_type)
+    return None if operator is None else operator.route
 
 
 def shard_of(key, shards: int, seed: int = 0) -> int:
@@ -249,7 +247,7 @@ def make_sharded(factory: Callable[[], object], shards: int,
     if shards == 1:
         return factory()
     return ShardedPruner([factory() for _ in range(shards)],
-                         key_fn=shard_key_fn(query_type or ""), seed=seed)
+                         key_fn=shard_key_fn(query_type), seed=seed)
 
 
 class ShardedSwitchFrontend:
@@ -591,14 +589,15 @@ class CheetahRuntime:
                                full_first: int) -> int:
         """Forwarded entries at ``full_first`` input rows.
 
-        Scale behaviour differs per op (Figure 11):
+        Scale behaviour differs per op (Figure 11, the operator table's
+        ``scale_law``):
 
-        * filter / join — selectivity is scale-invariant: scale the
-          measured fraction;
-        * DISTINCT / GROUP BY / HAVING — the structure converges, so the
-          extra rows forward at the *steady-state tail rate*, not the
-          warm-up-inflated average;
-        * TOP-N / SKYLINE — the forwarded count grows only
+        * ``linear`` (filter / join) — selectivity is scale-invariant:
+          scale the measured fraction;
+        * ``tail`` (DISTINCT / GROUP BY / HAVING) — the structure
+          converges, so the extra rows forward at the *steady-state tail
+          rate*, not the warm-up-inflated average;
+        * ``log`` (TOP-N / SKYLINE) — the forwarded count grows only
           logarithmically (Theorem 3); scale it by the log ratio.
         """
         import math
@@ -609,10 +608,11 @@ class CheetahRuntime:
             if sample_first == 0:
                 return 0
             return round(sample_fwd * full_first / sample_first)
-        if op in ("topn", "skyline"):
+        law = OPERATORS[op].scale_law
+        if law == "log":
             growth = math.log(full_first) / math.log(max(2, sample_first))
             return min(full_first, round(sample_fwd * growth))
-        if traffic.tail_unpruned_fraction is not None:
+        if law == "tail" and traffic.tail_unpruned_fraction is not None:
             extra = full_first - sample_first
             return min(full_first, round(
                 sample_fwd + extra * traffic.tail_unpruned_fraction))
@@ -646,7 +646,7 @@ class CheetahRuntime:
             first, self.workers, self.network_bps)
         second_master = 0.0
         if second:
-            if op == "join":
+            if OPERATORS[op].second_pass_pruned:
                 # JOIN's second pass re-streams switch-format packets
                 # (they are pruned in flight): full Cheetah wire cost;
                 # its master work is the forwarded entries, priced below.

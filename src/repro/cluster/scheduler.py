@@ -94,19 +94,12 @@ from repro.switch.resources import (
     SwitchModel,
     TOFINO_MODEL,
 )
+from repro.workloads.traces import DEFAULT_MIX
 
 logger = logging.getLogger(__name__)
 
 #: Seed stride between tenants, decorrelating their channel RNG draws.
 _TENANT_SEED_STRIDE = 1009
-
-#: Default scenario mix ``repro serve`` / ``repro bench concurrency``
-#: cycle through when assigning scenarios to tenants.
-DEFAULT_TENANT_MIX = (
-    "distinct", "filter", "topn", "groupby_max",
-    "having_sum", "groupby_sum", "skyline", "join",
-)
-
 
 @dataclasses.dataclass(frozen=True)
 class TenantSpec:
@@ -1275,7 +1268,7 @@ class QueryScheduler:
 
 
 def tenant_specs(count: int, rows: int = 240, seed: int = 0,
-                 mix: Sequence[str] = DEFAULT_TENANT_MIX,
+                 mix: Sequence[str] = DEFAULT_MIX,
                  arrival_stride: int = 0,
                  priorities: Optional[Sequence[str]] = None,
                  ) -> List[TenantSpec]:

@@ -80,10 +80,9 @@ from repro.cluster.runtime import (
 )
 from repro.cluster.worker import CWorker, decode_numeric, encode_value
 from repro.core.expr import Col
-from repro.core.groupby import GroupBySumAggregator
 from repro.db.column import ColumnType
-from repro.db.executor import ExecutionResult, execute
-from repro.db.planner import QueryPlan, QueryPlanner, resolve_table
+from repro.db.executor import ExecutionResult, execute, resolve_table
+from repro.db.planner import QueryPlan, QueryPlanner
 from repro.db.queries import (
     CompoundQuery,
     DistinctQuery,
@@ -93,7 +92,6 @@ from repro.db.queries import (
     JoinQuery,
     Query,
     SkylineQuery,
-    SortOrder,
     TopNQuery,
 )
 from repro.db.table import Table
@@ -107,6 +105,11 @@ from repro.net.reliability import (
 )
 from repro.net.wire import unpack_ack
 from repro.switch.controlplane import ControlPlane
+from repro.switch.operators import (
+    OPERATORS,
+    EntryEncoding,
+    groupby_sum_aggregator,
+)
 
 TableSet = Union[Table, Mapping[str, Table]]
 
@@ -463,70 +466,8 @@ class ClusterSimulation:
         plan = self.planner.plan(query)
         passes: List[PassStats] = []
         start = time.perf_counter()
-        result = self._execute(plan, query, tables, passes)
-        wall = time.perf_counter() - start
-        equivalent = reference = None
-        if check:
-            reference = plan.run(tables)
-            equivalent = result == reference.result
-        return SimulationReport(
-            result=result,
-            passes=passes,
-            wall_seconds=wall,
-            mode="pipelined" if self.config.pipelined else "sequential",
-            shards=self.config.shards,
-            loss_rate=self.config.loss_rate,
-            reorder_window=self.config.reorder_window,
-            equivalent=equivalent,
-            reference=None if reference is None else reference.result,
-        )
-
-    async def run_async(self, query: Query, tables: TableSet,
-                        check: bool = True,
-                        yield_every: int = 32) -> SimulationReport:
-        """Asyncio-friendly :meth:`run`: identical results, same seeds.
-
-        The transfer loop yields control to the event loop every
-        ``yield_every`` protocol ticks (``await asyncio.sleep(0)``), so
-        a long pass cannot starve other coroutines — this is the drive
-        mode embedders (and :mod:`repro.serving`'s reactor pattern) use
-        when a solo query must run inside a live event loop.  The tick
-        domain is untouched: the report is byte-for-byte the one
-        :meth:`run` returns, because yielding happens *between* ticks.
-        """
-        import asyncio
-
-        if yield_every < 1:
-            raise ValueError(
-                f"yield_every must be >= 1, got {yield_every}")
-        self._pass_salt = 0
-        plan = self.planner.plan(query)
-        passes: List[PassStats] = []
-        gen = self._query_generator(plan, query, tables)
-        start = time.perf_counter()
-        value = None
-        while True:
-            try:
-                request = gen.send(value)
-            except StopIteration as stop:
-                result = stop.value
-                break
-            active = self.begin_transfer(request)
-            since_yield = 0
-            while not active.done:
-                if active.ticks >= self.config.max_ticks:
-                    raise SimulationError(
-                        f"pass {request.name!r} did not complete within "
-                        f"{self.config.max_ticks} ticks (protocol "
-                        "livelock?)"
-                    )
-                active.step()
-                since_yield += 1
-                if since_yield >= yield_every:
-                    since_yield = 0
-                    await asyncio.sleep(0)
-            passes.append(active.stats())
-            value = active.delivered()
+        result = self._drive(self._query_generator(plan, query, tables),
+                             passes)
         wall = time.perf_counter() - start
         equivalent = reference = None
         if check:
@@ -545,11 +486,6 @@ class ClusterSimulation:
         )
 
     # -- dispatch -------------------------------------------------------------
-    def _execute(self, plan: QueryPlan, query: Query, tables: TableSet,
-                 passes: List[PassStats]) -> ExecutionResult:
-        return self._drive(self._query_generator(plan, query, tables),
-                           passes)
-
     def query_generator(self, query: Query, tables: TableSet):
         """Plan ``query`` and return its driver generator.
 
@@ -573,12 +509,17 @@ class ClusterSimulation:
                                                           tables)
                 outputs.append(result.output)
             return ExecutionResult(query=query, output=tuple(outputs))
-        handler = _SIM_HANDLERS.get(type(query))
-        if handler is None:
+        operator = OPERATORS.get(query.query_type)
+        if operator is None:
             raise SimulationError(
                 f"no end-to-end driver for {type(query).__name__}"
             )
-        return (yield from handler(self, plan, query, tables))
+        encoding = operator.entry(query)
+        if encoding is None:
+            driver = getattr(self, operator.multi_pass)
+            return (yield from driver(plan, query, tables))
+        return (yield from self._sim_single_pass(plan, query, tables,
+                                                 encoding))
 
     def begin_transfer(self, request: TransferRequest) -> ActiveTransfer:
         """Fresh channels (deterministically re-salted per pass) and
@@ -588,29 +529,25 @@ class ClusterSimulation:
         return ActiveTransfer(request, self.config, salt)
 
     def _drive(self, gen, passes: List[PassStats]) -> ExecutionResult:
-        """Satisfy a driver generator's transfer requests synchronously."""
+        """Satisfy a driver generator's transfer requests synchronously,
+        running each requested pass to completion (the solo drive mode)."""
         value = None
         while True:
             try:
                 request = gen.send(value)
             except StopIteration as stop:
                 return stop.value
-            value = self._run_transfer(request, passes)
-
-    def _run_transfer(self, request: TransferRequest,
-                      passes: List[PassStats],
-                      ) -> Dict[int, List[Tuple[int, ...]]]:
-        """Run one requested pass to completion (the solo drive mode)."""
-        active = self.begin_transfer(request)
-        while not active.done:
-            if active.ticks >= self.config.max_ticks:
-                raise SimulationError(
-                    f"pass {request.name!r} did not complete within "
-                    f"{self.config.max_ticks} ticks (protocol livelock?)"
-                )
-            active.step()
-        passes.append(active.stats())
-        return active.delivered()
+            active = self.begin_transfer(request)
+            while not active.done:
+                if active.ticks >= self.config.max_ticks:
+                    raise SimulationError(
+                        f"pass {request.name!r} did not complete within "
+                        f"{self.config.max_ticks} ticks (protocol "
+                        "livelock?)"
+                    )
+                active.step()
+            passes.append(active.stats())
+            value = active.delivered()
 
     # -- shared plumbing ------------------------------------------------------
     def _frontend(self):
@@ -694,100 +631,31 @@ class ClusterSimulation:
             scalar_fn=scalar_fn, batch_fn=batch_fn)
         return delivered
 
-    def _single_pass(self, name: str, plan: QueryPlan,
-                     table: Table, columns: Sequence[str],
-                     to_entry: Callable[[Tuple[int, ...]], Any],
-                     transforms: Optional[Mapping] = None):
-        """The common single-pass flow: stream ``(row_id, columns...)``
-        entries through the switch, return the surviving row ids.  The
-        query's rules are uninstalled as soon as the pass completes,
-        releasing its pack slot to concurrently served tenants."""
+    # -- drivers (generators; see TransferRequest) ----------------------------
+    def _sim_single_pass(self, plan, query: Query, tables,
+                         encoding: EntryEncoding):
+        """Every single-pass query: stream ``(row_id, columns...)``
+        entries, encoded as the operator table says, through the switch
+        and complete the query on the surviving rows.  The query's rules
+        are uninstalled as soon as the pass completes, releasing its
+        pack slot to concurrently served tenants."""
+        table = resolve_table(tables, query.table)
+        self._require_numeric(table, encoding.numeric, encoding.label)
         frontend = self._frontend()
         installation = frontend.install_query(plan.spec)
         streams = {
-            worker.fid: worker.indexed_entries(columns, base=base,
-                                               transforms=transforms)
+            worker.fid: worker.indexed_entries(
+                encoding.columns, base=base,
+                transforms=encoding.transforms)
             for worker, base in self._cworkers(table)
         }
         scalar, batch = self._prune_adapters(frontend, installation.fid,
-                                             to_entry)
-        delivered = yield from self._transfer(name, streams,
-                                              1 + len(columns),
+                                             encoding.to_entry)
+        delivered = yield from self._transfer(query.query_type, streams,
+                                              1 + len(encoding.columns),
                                               scalar, batch)
         frontend.uninstall_query(installation.fid)
-        return _surviving_ids(delivered)
-
-    # -- per-query drivers (generators; see TransferRequest) ------------------
-    def _sim_filter(self, plan, query: FilterQuery, tables):
-        table = resolve_table(tables, query.table)
-        columns = list(query.relevant_columns())
-        self._require_numeric(table, columns, "FILTER predicate")
-
-        def to_row(values):
-            return {column: decode_numeric(word)
-                    for column, word in zip(columns, values[1:])}
-
-        ids = yield from self._single_pass("filter", plan, table, columns,
-                                           to_row)
-        return execute(query, table.take(ids))
-
-    def _sim_distinct(self, plan, query: DistinctQuery, tables):
-        table = resolve_table(tables, query.table)
-        columns = list(query.key_columns)
-        if len(columns) == 1:
-            def to_key(values):
-                return values[1]
-        else:
-            def to_key(values):
-                return tuple(values[1:])
-        ids = yield from self._single_pass("distinct", plan, table,
-                                           columns, to_key)
-        return execute(query, table.take(ids))
-
-    def _sim_topn(self, plan, query: TopNQuery, tables):
-        table = resolve_table(tables, query.table)
-        column = query.order_column
-        self._require_numeric(table, [column], "TOP-N ordering")
-        transforms = None
-        if query.order is SortOrder.ASC:
-            # The switch registers keep "largest seen"; ascending order
-            # negates at the CWorker so the same program applies.
-            transforms = {column: lambda value: -value}
-
-        def to_value(values):
-            return decode_numeric(values[1])
-
-        ids = yield from self._single_pass("topn", plan, table, [column],
-                                           to_value,
-                                           transforms=transforms)
-        return execute(query, table.take(ids))
-
-    def _sim_skyline(self, plan, query: SkylineQuery, tables):
-        table = resolve_table(tables, query.table)
-        dimensions = list(query.dimensions)
-        self._require_numeric(table, dimensions, "SKYLINE dimensions")
-
-        def to_point(values):
-            return tuple(decode_numeric(word) for word in values[1:])
-
-        ids = yield from self._single_pass("skyline", plan, table,
-                                           dimensions, to_point)
-        return execute(query, table.take(ids))
-
-    def _sim_groupby(self, plan, query: GroupByQuery, tables):
-        if not query.switch_offloadable:
-            return (yield from self._sim_groupby_sum(plan, query, tables))
-        table = resolve_table(tables, query.table)
-        self._require_numeric(table, [query.value_column],
-                              "GROUP BY value")
-
-        def to_entry(values):
-            return (values[1], decode_numeric(values[2]))
-
-        ids = yield from self._single_pass(
-            "groupby", plan, table,
-            [query.key_column, query.value_column], to_entry)
-        return execute(query, table.take(ids))
+        return execute(query, table.take(_surviving_ids(delivered)))
 
     def _sim_groupby_sum(self, plan, query: GroupByQuery, tables):
         """SUM/COUNT GROUP BY: in-switch partial aggregation (§6).
@@ -812,12 +680,8 @@ class ClusterSimulation:
                                   "GROUP BY SUM value")
             columns.append(query.value_column)
         shards = self.config.shards
-        aggregators = [
-            GroupBySumAggregator(rows=self.planner.scaled(4096, floor=1),
-                                 width=8, count_mode=count_mode,
-                                 seed=self.planner.seed)
-            for _ in range(shards)
-        ]
+        aggregators = [groupby_sum_aggregator(self.planner, query)
+                       for _ in range(shards)]
         outbox: List[Dict[Any, float]] = [{} for _ in range(shards)]
         route_seed = self.planner.seed
 
@@ -979,17 +843,6 @@ class ClusterSimulation:
                                               second_streams, 1,
                                               scalar, batch)
         return execute(query, table.take(_surviving_ids(delivered)))
-
-
-_SIM_HANDLERS = {
-    FilterQuery: ClusterSimulation._sim_filter,
-    DistinctQuery: ClusterSimulation._sim_distinct,
-    TopNQuery: ClusterSimulation._sim_topn,
-    SkylineQuery: ClusterSimulation._sim_skyline,
-    GroupByQuery: ClusterSimulation._sim_groupby,
-    JoinQuery: ClusterSimulation._sim_join,
-    HavingQuery: ClusterSimulation._sim_having,
-}
 
 
 # ---------------------------------------------------------------------------

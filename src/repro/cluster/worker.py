@@ -8,57 +8,11 @@ one packet per entry (§7.1).
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.db.table import Table
 from repro.net.packet import CheetahPacket, packets_for_entries
-from repro.sketches.hashing import fingerprint_bits
-
-#: Fixed-point fraction bits for float columns on the wire.
-FLOAT_FRACTION_BITS = 20
-_FLOAT_SCALE = 1 << FLOAT_FRACTION_BITS
-#: Bias so signed values map into the unsigned 64-bit wire space while
-#: preserving order (the switch compares unsigned).
-_SIGN_BIAS = 1 << 62
-
-
-def encode_value(value: Any) -> int:
-    """Encode one column value as an order-preserving 64-bit word.
-
-    * ints/floats: biased fixed point (order preserved, so threshold and
-      rolling-minimum comparisons on the switch are meaningful);
-    * strings: a 64-bit fingerprint (equality only — ordering queries on
-      strings are not switch-offloadable).
-
-    Booleans are rejected even though ``bool`` is a subclass of ``int``:
-    ``True`` would silently encode as the number ``1`` and round-trip
-    through :func:`decode_numeric` as ``1.0``, masking a schema bug (the
-    paper's wire format has no boolean column type — predicates on flags
-    belong in the worker-side filter, not on the wire).
-
-    >>> encode_value(0)
-    4611686018427387904
-    >>> decode_numeric(encode_value(-2.5))
-    -2.5
-    >>> encode_value(True)
-    Traceback (most recent call last):
-        ...
-    TypeError: boolean columns are not part of the wire format
-    """
-    if isinstance(value, bool):
-        raise TypeError("boolean columns are not part of the wire format")
-    if isinstance(value, int):
-        return _SIGN_BIAS + value * _FLOAT_SCALE
-    if isinstance(value, float):
-        return _SIGN_BIAS + round(value * _FLOAT_SCALE)
-    if isinstance(value, str):
-        return fingerprint_bits(value, 64)
-    raise TypeError(f"cannot encode {type(value).__name__} for the wire")
-
-
-def decode_numeric(word: int) -> float:
-    """Invert :func:`encode_value` for numeric values."""
-    return (word - _SIGN_BIAS) / _FLOAT_SCALE
+from repro.net.wire import decode_numeric, encode_value
 
 
 class CWorker:

@@ -53,7 +53,15 @@ class ExecutionResult:
         return f"ExecutionResult({type(self.query).__name__}, {preview})"
 
 
-def _single(tables: TableSet, name: str = None) -> Table:
+def resolve_table(tables: TableSet, name: str = None) -> Table:
+    """Resolve a single-table query's source from a ``TableSet``.
+
+    A bare :class:`Table` is returned as-is; a mapping is indexed by
+    ``name`` when given, and a one-entry mapping resolves to its only
+    table.  The executor, the planner's runners and
+    :class:`repro.cluster.simulation.ClusterSimulation` all use it, so
+    every path agrees on which table a query reads.
+    """
     if isinstance(tables, Table):
         return tables
     if name is not None:
@@ -74,7 +82,7 @@ def execute(query: Query, tables: TableSet) -> ExecutionResult:
 # -- per-query handlers --------------------------------------------------------
 
 def _execute_filter(query: FilterQuery, tables: TableSet):
-    table = _single(tables, getattr(query, "table", None))
+    table = resolve_table(tables, query.table)
     matches = [row for row in table.rows() if query.predicate.evaluate(row)]
     if query.count_only:
         return len(matches)
@@ -82,14 +90,14 @@ def _execute_filter(query: FilterQuery, tables: TableSet):
 
 
 def _execute_distinct(query: DistinctQuery, tables: TableSet):
-    table = _single(tables, getattr(query, "table", None))
+    table = resolve_table(tables, query.table)
     return frozenset(
         tuple(row[c] for c in query.key_columns) for row in table.rows()
     )
 
 
 def _execute_topn(query: TopNQuery, tables: TableSet):
-    table = _single(tables, getattr(query, "table", None))
+    table = resolve_table(tables, query.table)
     values = list(table.column(query.order_column))
     reverse = query.order is SortOrder.DESC
     values.sort(reverse=reverse)
@@ -97,7 +105,7 @@ def _execute_topn(query: TopNQuery, tables: TableSet):
 
 
 def _execute_groupby(query: GroupByQuery, tables: TableSet):
-    table = _single(tables, getattr(query, "table", None))
+    table = resolve_table(tables, query.table)
     groups: Dict[Any, List[float]] = {}
     for row in table.rows():
         groups.setdefault(row[query.key_column], []).append(
@@ -144,7 +152,7 @@ def _execute_join(query: JoinQuery, tables: TableSet):
 
 
 def _execute_having(query: HavingQuery, tables: TableSet):
-    table = _single(tables, getattr(query, "table", None))
+    table = resolve_table(tables, query.table)
     groups: Dict[Any, List[float]] = {}
     for row in table.rows():
         groups.setdefault(row[query.key_column], []).append(
@@ -168,7 +176,7 @@ def _dominates(a: Sequence[float], b: Sequence[float]) -> bool:
 
 
 def _execute_skyline(query: SkylineQuery, tables: TableSet):
-    table = _single(tables, getattr(query, "table", None))
+    table = resolve_table(tables, query.table)
     points = {
         tuple(row[d] for d in query.dimensions) for row in table.rows()
     }

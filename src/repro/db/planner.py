@@ -25,9 +25,8 @@ import dataclasses
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.core.base import PruningAlgorithm
-from repro.core.groupby import GroupBySumAggregator
 from repro.db.column import ColumnType
-from repro.db.executor import ExecutionResult, execute
+from repro.db.executor import ExecutionResult, execute, resolve_table
 from repro.db.queries import (
     CompoundQuery,
     DistinctQuery,
@@ -44,6 +43,7 @@ from repro.db.table import Table
 from repro.sketches.fingerprint import fingerprint_length_distinct
 from repro.switch.compiler import QuerySpec
 from repro.switch.controlplane import ControlPlane
+from repro.switch.operators import OPERATORS, groupby_sum_aggregator
 from repro.switch.resources import SwitchModel, TOFINO_MODEL
 
 TableSet = Union[Table, Mapping[str, Table]]
@@ -69,26 +69,20 @@ class TrafficStats:
         return self.forwarded_entries / self.first_pass_entries
 
 
-class _TailTracker:
-    """Tracks the unpruned rate over the last 20% of a known-length pass."""
+def _tail_fraction(forwarded: List[bool]) -> Optional[float]:
+    """Forwarded share of the final 20% of a pass (``None`` if empty)."""
+    tail = forwarded[int(len(forwarded) * 0.8):]
+    return sum(tail) / len(tail) if tail else None
 
-    def __init__(self, total: int):
-        self.start = int(total * 0.8)
-        self.offered = 0
-        self.forwarded = 0
 
-    def record(self, index: int, forwarded: bool) -> None:
-        if index < self.start:
-            return
-        self.offered += 1
-        if forwarded:
-            self.forwarded += 1
-
-    @property
-    def fraction(self) -> Optional[float]:
-        if self.offered == 0:
-            return None
-        return self.forwarded / self.offered
+def _offer_rows(cp: ControlPlane, fid: int, table: Table,
+                entry_of: Callable[[Dict[str, Any]], Any],
+                ) -> Tuple[List[int], Optional[float]]:
+    """Offer every row's entry on ``fid``: the forwarded row indices and
+    the unpruned rate over the pass's final 20%."""
+    forwarded = [not cp.offer(fid, entry_of(row)) for row in table.rows()]
+    keep = [i for i, kept in enumerate(forwarded) if kept]
+    return keep, _tail_fraction(forwarded)
 
 
 @dataclasses.dataclass
@@ -117,28 +111,6 @@ class QueryPlan:
         return self.runner(tables, control_plane)
 
 
-def resolve_table(tables: TableSet, name: str = None) -> Table:
-    """Resolve a single-table query's source from a ``TableSet``.
-
-    A bare :class:`Table` is returned as-is; a mapping is indexed by
-    ``name`` when given, and a one-entry mapping resolves to its only
-    table.  Shared by the planner's runners and by
-    :class:`repro.cluster.simulation.ClusterSimulation`, so both paths
-    agree on which table a query reads.
-    """
-    if isinstance(tables, Table):
-        return tables
-    if name is not None:
-        return tables[name]
-    if len(tables) != 1:
-        raise ValueError("query needs exactly one table")
-    return next(iter(tables.values()))
-
-
-#: Backwards-compatible internal alias.
-_single = resolve_table
-
-
 class QueryPlanner:
     """Plans queries for a given switch budget."""
 
@@ -160,210 +132,126 @@ class QueryPlanner:
     def scaled(self, size: int, floor: int = 4) -> int:
         """A structure dimension under the sampling scale.
 
-        Public because the cluster simulation sizes its switch-side
-        structures (e.g. the SUM GROUP BY partial-aggregation matrix)
-        with the same rule, keeping wire runs comparable to
-        ``plan.run``.
+        The operator table sizes every switch structure with it (the
+        spec parameters and the SUM GROUP BY partial-aggregation
+        matrix), so the served path and ``plan.run`` agree.
         """
         return max(floor, round(size * self.structure_scale))
 
-    # Backwards-compatible internal alias.
-    _scaled = scaled
-
     def plan(self, query: Query) -> QueryPlan:
-        """Build the :class:`QueryPlan` for ``query``."""
-        planner = _PLANNERS.get(type(query))
+        """Build the :class:`QueryPlan` for ``query`` (``_plan_<type>``)."""
+        planner = getattr(self, f"_plan_{query.query_type}", None)
         if planner is None:
             raise TypeError(f"no plan for {type(query).__name__}")
-        return planner(self, query)
+        return planner(query)
+
+    def spec(self, query: Query) -> QuerySpec:
+        """The (type, parameters) pair shipped to the switch for
+        ``query``, from its record in the operator table."""
+        operator = OPERATORS[query.query_type]
+        return QuerySpec(operator.name,
+                         operator.params(self, query, operator.defaults))
 
     # -- single-pass plans --------------------------------------------------
-    def _plan_filter(self, query: FilterQuery) -> QueryPlan:
-        spec = QuerySpec("filter", (("predicate", query.predicate),))
+    def _plan_single_pass(self, query: Query,
+                          entry_of: Callable[[Dict[str, Any]], Any],
+                          spec_for: Optional[Callable] = None) -> QueryPlan:
+        """Offer every row's entry to the switch, then run the unchanged
+        query on the forwarded rows.  ``spec_for(table, spec)`` adapts
+        the installed spec to the input (DISTINCT fingerprints)."""
+        spec = self.spec(query)
 
         def run(tables: TableSet, cp: ControlPlane) -> CheetahRun:
-            table = _single(tables, getattr(query, "table", None))
-            installation = cp.install_query(spec)
-            keep = []
-            for i, row in enumerate(table.rows()):
-                if not cp.offer(installation.fid, row):
-                    keep.append(i)
-            pruned_table = table.take(keep)
-            result = execute(query, pruned_table)
+            table = resolve_table(tables, query.table)
+            installation = cp.install_query(
+                spec if spec_for is None else spec_for(table, spec))
+            keep, tail = _offer_rows(cp, installation.fid, table, entry_of)
             return CheetahRun(
-                result=result,
-                traffic=TrafficStats(len(table), len(keep)),
+                result=execute(query, table.take(keep)),
+                traffic=TrafficStats(len(table), len(keep),
+                                     tail_unpruned_fraction=tail),
                 pruner=installation.compiled.pruner,
             )
 
         return QueryPlan(query, spec, run)
+
+    def _plan_filter(self, query: FilterQuery) -> QueryPlan:
+        return self._plan_single_pass(query, lambda row: row)
 
     def _plan_distinct(self, query: DistinctQuery) -> QueryPlan:
-        params: List[Tuple[str, Any]] = [("d", self._scaled(4096)), ("w", 2)]
-        spec = QuerySpec("distinct", tuple(params))
+        columns = tuple(query.key_columns)
 
-        def run(tables: TableSet, cp: ControlPlane) -> CheetahRun:
-            table = _single(tables, getattr(query, "table", None))
-            use_fp = query.multi_column or any(
-                table.column(c).ctype is ColumnType.STR
-                for c in query.key_columns
-            )
-            run_params = list(params)
-            if use_fp:
-                # Wide/multi-column keys exceed the parseable bits:
-                # fingerprint at the CWorker (Example #8), sized by
-                # Theorems 6/7 from a distinct-count estimate.
-                estimate = max(2, len(table) // 4)
-                bits = min(64, fingerprint_length_distinct(
-                    estimate, self._scaled(4096), self.delta))
-                run_params.append(("fingerprint_bits", bits))
-            installation = cp.install_query(QuerySpec("distinct",
-                                                      tuple(run_params)))
-            keep = []
-            tail = _TailTracker(len(table))
-            for i, row in enumerate(table.rows()):
-                key = tuple(row[c] for c in query.key_columns)
-                if len(key) == 1:
-                    key = key[0]
-                forwarded = not cp.offer(installation.fid, key)
-                tail.record(i, forwarded)
-                if forwarded:
-                    keep.append(i)
-            result = execute(query, table.take(keep))
-            return CheetahRun(
-                result=result,
-                traffic=TrafficStats(len(table), len(keep),
-                                     tail_unpruned_fraction=tail.fraction),
-                pruner=installation.compiled.pruner,
-            )
+        def entry_of(row):
+            key = tuple(row[c] for c in columns)
+            return key[0] if len(key) == 1 else key
 
-        return QueryPlan(query, spec, run)
+        def spec_for(table: Table, spec: QuerySpec) -> QuerySpec:
+            if not query.multi_column and all(
+                    table.column(c).ctype is not ColumnType.STR
+                    for c in columns):
+                return spec
+            # Wide/multi-column keys exceed the parseable bits:
+            # fingerprint at the CWorker (Example #8), sized by
+            # Theorems 6/7 from a distinct-count estimate.
+            estimate = max(2, len(table) // 4)
+            bits = min(64, fingerprint_length_distinct(
+                estimate, spec.params_dict()["d"], self.delta))
+            return dataclasses.replace(
+                spec, params=spec.params + (("fingerprint_bits", bits),))
+
+        return self._plan_single_pass(query, entry_of, spec_for)
 
     def _plan_topn(self, query: TopNQuery) -> QueryPlan:
-        spec = QuerySpec("topn", (
-            ("n", query.n),
-            ("randomized", query.randomized),
-            ("delta", query.delta),
-        ))
-
-        def run(tables: TableSet, cp: ControlPlane) -> CheetahRun:
-            table = _single(tables, getattr(query, "table", None))
-            installation = cp.install_query(spec)
-            sign = 1 if query.order is SortOrder.DESC else -1
-            keep = []
-            for i, row in enumerate(table.rows()):
-                value = sign * row[query.order_column]
-                if not cp.offer(installation.fid, value):
-                    keep.append(i)
-            result = execute(query, table.take(keep))
-            return CheetahRun(
-                result=result,
-                traffic=TrafficStats(len(table), len(keep)),
-                pruner=installation.compiled.pruner,
-            )
-
-        return QueryPlan(query, spec, run)
+        sign = 1 if query.order is SortOrder.DESC else -1
+        column = query.order_column
+        return self._plan_single_pass(query, lambda row: sign * row[column])
 
     def _plan_skyline(self, query: SkylineQuery) -> QueryPlan:
-        # Table 2's default w=10 counts *logical* stages; fold the point
-        # store into the physical pipeline: D-dim points take 2 stages
-        # each plus log2(D) + 2 overhead stages (projection + prune bit).
-        import math
-
-        dims = len(query.dimensions)
-        log_d = max(1, math.ceil(math.log2(max(2, dims))))
-        width = max(1, (self.switch.stages - log_d) // 2 - 1)
-        spec = QuerySpec("skyline", (("D", dims), ("w", width)))
-
-        def run(tables: TableSet, cp: ControlPlane) -> CheetahRun:
-            table = _single(tables, getattr(query, "table", None))
-            installation = cp.install_query(spec)
-            keep = []
-            for i, row in enumerate(table.rows()):
-                point = tuple(row[d] for d in query.dimensions)
-                if not cp.offer(installation.fid, point):
-                    keep.append(i)
-            result = execute(query, table.take(keep))
-            return CheetahRun(
-                result=result,
-                traffic=TrafficStats(len(table), len(keep)),
-                pruner=installation.compiled.pruner,
-            )
-
-        return QueryPlan(query, spec, run)
+        dimensions = tuple(query.dimensions)
+        return self._plan_single_pass(
+            query, lambda row: tuple(row[d] for d in dimensions))
 
     # -- group by ------------------------------------------------------------
     def _plan_groupby(self, query: GroupByQuery) -> QueryPlan:
         if query.switch_offloadable:
-            spec = QuerySpec("groupby", (
-                ("aggregate", query.aggregate),
-                ("d", self._scaled(4096)),
-            ))
-
-            def run(tables: TableSet, cp: ControlPlane) -> CheetahRun:
-                table = _single(tables, getattr(query, "table", None))
-                installation = cp.install_query(spec)
-                keep = []
-                tail = _TailTracker(len(table))
-                for i, row in enumerate(table.rows()):
-                    entry = (row[query.key_column], row[query.value_column])
-                    forwarded = not cp.offer(installation.fid, entry)
-                    tail.record(i, forwarded)
-                    if forwarded:
-                        keep.append(i)
-                result = execute(query, table.take(keep))
-                return CheetahRun(
-                    result=result,
-                    traffic=TrafficStats(len(table), len(keep),
-                                         tail_unpruned_fraction=tail.fraction),
-                    pruner=installation.compiled.pruner,
-                )
-
-            return QueryPlan(query, spec, run)
+            return self._plan_single_pass(
+                query,
+                lambda row: (row[query.key_column], row[query.value_column]))
 
         # SUM/COUNT group-by: in-switch partial aggregation (§6) — the
         # matrix absorbs entries into per-group partial sums; evicted and
         # drained partials are forwarded and merged at the master.
         def run_sum(tables: TableSet, cp: ControlPlane) -> CheetahRun:
-            table = _single(tables, getattr(query, "table", None))
-            aggregator = GroupBySumAggregator(
-                rows=self._scaled(4096, floor=1), width=8,
-                count_mode=(query.aggregate == "count"), seed=self.seed,
-            )
+            table = resolve_table(tables, query.table)
+            aggregator = groupby_sum_aggregator(self, query)
             partials: Dict[Any, float] = {}
-            forwarded = 0
-            total = 0
-            tail = _TailTracker(len(table))
-            for i, row in enumerate(table.rows()):
-                total += 1
+            evictions = []
+            for row in table.rows():
                 amount = (1 if query.aggregate == "count"
                           else row[query.value_column])
                 evicted = aggregator.offer(row[query.key_column], amount)
-                tail.record(i, evicted is not None)
+                evictions.append(evicted is not None)
                 if evicted is not None:
                     key, value = evicted
                     partials[key] = partials.get(key, 0) + value
-                    forwarded += 1
-            for key, value in aggregator.drain():
+            drained = aggregator.drain()
+            for key, value in drained:
                 partials[key] = partials.get(key, 0) + value
-                forwarded += 1
             ground_shape = {k: (int(v) if query.aggregate == "count" else v)
                             for k, v in partials.items()}
             result = ExecutionResult(query=query, output=ground_shape)
             return CheetahRun(
                 result=result,
-                traffic=TrafficStats(total, forwarded,
-                                     tail_unpruned_fraction=tail.fraction),
+                traffic=TrafficStats(
+                    len(evictions), sum(evictions) + len(drained),
+                    tail_unpruned_fraction=_tail_fraction(evictions)),
             )
 
         return QueryPlan(query, None, run_sum)
 
     # -- join ------------------------------------------------------------------
     def _plan_join(self, query: JoinQuery) -> QueryPlan:
-        spec = QuerySpec("join", (
-            ("M_bits", max(1024 * 8,
-                           round(4 * 2 ** 20 * 8 * self.structure_scale))),
-        ))
+        spec = self.spec(query)
 
         def run(tables: TableSet, cp: ControlPlane) -> CheetahRun:
             if isinstance(tables, Table):
@@ -419,23 +307,15 @@ class QueryPlanner:
 
     # -- having -----------------------------------------------------------------
     def _plan_having(self, query: HavingQuery) -> QueryPlan:
-        spec = QuerySpec("having", (
-            ("threshold", query.threshold),
-            ("aggregate", query.aggregate),
-        ))
+        spec = self.spec(query)
 
         def run(tables: TableSet, cp: ControlPlane) -> CheetahRun:
-            table = _single(tables, getattr(query, "table", None))
+            table = resolve_table(tables, query.table)
             installation = cp.install_query(spec)
             pruner = installation.compiled.pruner
-            keep = []
-            tail = _TailTracker(len(table))
-            for i, row in enumerate(table.rows()):
-                entry = (row[query.key_column], row[query.value_column])
-                forwarded = not cp.offer(installation.fid, entry)
-                tail.record(i, forwarded)
-                if forwarded:
-                    keep.append(i)
+            keep, tail = _offer_rows(
+                cp, installation.fid, table,
+                lambda row: (row[query.key_column], row[query.value_column]))
             if query.aggregate in ("max", "min"):
                 # Witness forwarding is exact: complete on forwarded rows.
                 result = execute(query, table.take(keep))
@@ -459,7 +339,7 @@ class QueryPlanner:
                     first_pass_entries=len(table),
                     forwarded_entries=len(keep),
                     second_pass_entries=len(second_pass_rows),
-                    tail_unpruned_fraction=tail.fraction,
+                    tail_unpruned_fraction=tail,
                 ),
                 pruner=pruner,
             )
@@ -486,14 +366,3 @@ class QueryPlanner:
 
         return QueryPlan(query, None, run)
 
-
-_PLANNERS = {
-    FilterQuery: QueryPlanner._plan_filter,
-    DistinctQuery: QueryPlanner._plan_distinct,
-    TopNQuery: QueryPlanner._plan_topn,
-    SkylineQuery: QueryPlanner._plan_skyline,
-    GroupByQuery: QueryPlanner._plan_groupby,
-    JoinQuery: QueryPlanner._plan_join,
-    HavingQuery: QueryPlanner._plan_having,
-    CompoundQuery: QueryPlanner._plan_compound,
-}

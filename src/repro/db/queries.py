@@ -18,7 +18,8 @@ from repro.core.expr import Expr
 class Query:
     """Base class for all query descriptions."""
 
-    #: The switch query type string (matches the compiler's builders).
+    #: The switch query type: a key of the operator table (``compound``
+    #: and ``abstract`` excepted).
     query_type: str = "abstract"
 
     def relevant_columns(self) -> List[str]:

@@ -1,4 +1,4 @@
-"""Byte-level wire encoding of Cheetah packets and ACKs.
+"""Byte-level wire encoding of Cheetah packets, ACKs and column values.
 
 Layout (big-endian, matching Figure 4's variable-length header):
 
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import functools
 import struct
-from typing import List, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 import numpy as np
 
@@ -58,6 +58,7 @@ from repro.net.packet import (
     AckKind,
     CheetahPacket,
 )
+from repro.sketches.hashing import fingerprint_bits
 
 _HEADER = struct.Struct(">HIBB")
 _ACK = struct.Struct(">HIB")
@@ -303,3 +304,52 @@ def decode_ack(data: bytes) -> Ack:
     """Parse an ACK."""
     fid, seq, code = unpack_ack(data)
     return Ack(fid=fid, seq=seq, kind=_ACK_KIND_FROM[code])
+
+
+# -- column values (Example #8) ---------------------------------------------
+
+#: Fixed-point fraction bits for float columns on the wire.
+FLOAT_FRACTION_BITS = 20
+_FLOAT_SCALE = 1 << FLOAT_FRACTION_BITS
+#: Bias so signed values map into the unsigned 64-bit wire space while
+#: preserving order (the switch compares unsigned).
+_SIGN_BIAS = 1 << 62
+
+
+def encode_value(value: Any) -> int:
+    """Encode one column value as an order-preserving 64-bit word.
+
+    * ints/floats: biased fixed point (order preserved, so threshold and
+      rolling-minimum comparisons on the switch are meaningful);
+    * strings: a 64-bit fingerprint (equality only — ordering queries on
+      strings are not switch-offloadable).
+
+    Booleans are rejected even though ``bool`` is a subclass of ``int``:
+    ``True`` would silently encode as the number ``1`` and round-trip
+    through :func:`decode_numeric` as ``1.0``, masking a schema bug (the
+    paper's wire format has no boolean column type — predicates on flags
+    belong in the worker-side filter, not on the wire).
+
+    >>> encode_value(0)
+    4611686018427387904
+    >>> decode_numeric(encode_value(-2.5))
+    -2.5
+    >>> encode_value(True)
+    Traceback (most recent call last):
+        ...
+    TypeError: boolean columns are not part of the wire format
+    """
+    if isinstance(value, bool):
+        raise TypeError("boolean columns are not part of the wire format")
+    if isinstance(value, int):
+        return _SIGN_BIAS + value * _FLOAT_SCALE
+    if isinstance(value, float):
+        return _SIGN_BIAS + round(value * _FLOAT_SCALE)
+    if isinstance(value, str):
+        return fingerprint_bits(value, 64)
+    raise TypeError(f"cannot encode {type(value).__name__} for the wire")
+
+
+def decode_numeric(word: int) -> float:
+    """Invert :func:`encode_value` for numeric values."""
+    return (word - _SIGN_BIAS) / _FLOAT_SCALE

@@ -7,7 +7,8 @@ per query, §7.1).  This module models that split:
 * :class:`QuerySpec` — the (type, parameters) pair the query planner
   sends to the switch control plane (§3's "(1) query type, (2) query
   parameters").
-* :class:`QueryCompiler` — resolves a spec to a pruner instance, its
+* :class:`QueryCompiler` — resolves a spec to a pruner instance (built
+  by the spec's record in :mod:`repro.switch.operators`), its
   Table 2 resource footprint, and the number of control-plane rules the
   installation needs, validating everything against a switch budget.
 """
@@ -15,16 +16,10 @@ per query, §7.1).  This module models that split:
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Dict
 
 from repro.core.base import PruningAlgorithm
-from repro.core.distinct import DistinctPruner
-from repro.core.filtering import FilterPruner
-from repro.core.groupby import GroupAggregate, GroupByPruner
-from repro.core.having import HavingAggregate, HavingPruner
-from repro.core.join import FilterKind, JoinPruner
-from repro.core.skyline import Projection, SkylinePruner
-from repro.core.topn import TopNDeterministic, TopNRandomized
+from repro.switch.operators import OPERATORS
 from repro.switch.resources import ResourceUsage, SwitchModel, TOFINO_MODEL
 
 
@@ -73,29 +68,29 @@ class QueryCompiler:
     def __init__(self, switch: SwitchModel = TOFINO_MODEL, seed: int = 0):
         self.switch = switch
         self.seed = seed
-        self._builders: Dict[str, Callable[[Dict[str, Any]], PruningAlgorithm]] = {
-            "filter": self._build_filter,
-            "distinct": self._build_distinct,
-            "topn": self._build_topn,
-            "groupby": self._build_groupby,
-            "join": self._build_join,
-            "having": self._build_having,
-            "skyline": self._build_skyline,
-        }
 
     def supported_types(self) -> list:
         """Query types the precompiled data plane supports."""
-        return sorted(self._builders)
+        return sorted(OPERATORS)
 
-    def compile(self, spec: QuerySpec) -> CompiledQuery:
-        """Build the pruner for ``spec`` and validate its footprint."""
-        builder = self._builders.get(spec.query_type)
-        if builder is None:
+    def build(self, spec: QuerySpec) -> PruningAlgorithm:
+        """The pruner for ``spec``, before the switch-budget check."""
+        operator = OPERATORS.get(spec.query_type)
+        if operator is None:
             raise CompilationError(
                 f"query type {spec.query_type!r} is not precompiled on the "
                 f"switch (supported: {', '.join(self.supported_types())})"
             )
-        pruner = builder(spec.params_dict())
+        params = {**operator.defaults, **spec.params_dict()}
+        for name in operator.required:
+            if name not in params:
+                raise CompilationError(
+                    f"{operator.name} spec needs a {name!r}")
+        return operator.pruner(params, self)
+
+    def compile(self, spec: QuerySpec) -> CompiledQuery:
+        """Build the pruner for ``spec`` and validate its footprint."""
+        pruner = self.build(spec)
         usage = pruner.resources()
         problems = self.switch.violations(usage)
         if problems:
@@ -105,66 +100,3 @@ class QueryCompiler:
             )
         return CompiledQuery(spec=spec, pruner=pruner, resources=usage,
                              control_rules=_rules_for(pruner))
-
-    # -- per-type builders ----------------------------------------------------
-    def _build_filter(self, p: Dict[str, Any]) -> PruningAlgorithm:
-        if "predicate" not in p:
-            raise CompilationError("filter spec needs a 'predicate'")
-        return FilterPruner(p["predicate"],
-                            worker_assist=p.get("worker_assist", False))
-
-    def _build_distinct(self, p: Dict[str, Any]) -> PruningAlgorithm:
-        return DistinctPruner(
-            rows=p.get("d", 4096),
-            width=p.get("w", 2),
-            fingerprint_bits_=p.get("fingerprint_bits"),
-            seed=self.seed,
-        )
-
-    def _build_topn(self, p: Dict[str, Any]) -> PruningAlgorithm:
-        n = p.get("n", 250)
-        if p.get("randomized", True):
-            if "d" in p or "w" in p:
-                return TopNRandomized(n=n, rows=p.get("d", 4096),
-                                      width=p.get("w", 4), seed=self.seed)
-            # Reserve one stage for the pack's prune-bit select (§6).
-            budget = max(1, self.switch.stages - 1)
-            max_width = min(budget, p.get("max_w", budget))
-            return TopNRandomized.configured(
-                n, p.get("delta", 1e-4), max_width=max_width, seed=self.seed
-            )
-        return TopNDeterministic(n=n, thresholds=p.get("w", 4))
-
-    def _build_groupby(self, p: Dict[str, Any]) -> PruningAlgorithm:
-        return GroupByPruner(
-            rows=p.get("d", 4096),
-            width=p.get("w", 8),
-            aggregate=GroupAggregate(p.get("aggregate", "max")),
-            seed=self.seed,
-        )
-
-    def _build_join(self, p: Dict[str, Any]) -> PruningAlgorithm:
-        return JoinPruner(
-            size_bits=p.get("M_bits", 4 * 2 ** 20 * 8),
-            hashes=p.get("H", 3),
-            kind=FilterKind(p.get("kind", "bf")),
-            seed=self.seed,
-        )
-
-    def _build_having(self, p: Dict[str, Any]) -> PruningAlgorithm:
-        if "threshold" not in p:
-            raise CompilationError("having spec needs a 'threshold'")
-        return HavingPruner(
-            threshold=p["threshold"],
-            aggregate=HavingAggregate(p.get("aggregate", "sum")),
-            width=p.get("w", 1024),
-            depth=p.get("d", 3),
-            seed=self.seed,
-        )
-
-    def _build_skyline(self, p: Dict[str, Any]) -> PruningAlgorithm:
-        return SkylinePruner(
-            dimensions=p.get("D", 2),
-            width=p.get("w", 10),
-            projection=Projection(p.get("projection", "aph")),
-        )

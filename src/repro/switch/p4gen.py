@@ -16,12 +16,12 @@ from typing import List
 
 from repro.core.base import PruningAlgorithm
 from repro.core.distinct import DistinctPruner
+from repro.core.filtering import FilterPruner
 from repro.core.groupby import GroupByPruner
 from repro.core.having import HavingPruner
 from repro.core.join import FilterKind, JoinPruner
 from repro.core.skyline import Projection, SkylinePruner
-from repro.core.topn import TopNDeterministic, TopNRandomized
-from repro.core.filtering import FilterPruner
+from repro.core.topn import TopNDeterministic
 
 _HEADER = '''\
 /* Generated by repro.switch.p4gen — Cheetah pruning dataplane.
@@ -91,7 +91,7 @@ def _blackbox(name: str, register: str, body: str) -> str:
     )
 
 
-def _generate_distinct(pruner: DistinctPruner) -> List[str]:
+def emit_distinct(pruner: DistinctPruner) -> List[str]:
     d, w = pruner.matrix.rows, pruner.matrix.width
     parts = [f"/* DISTINCT: d={d} rows x w={w} columns, "
              f"{pruner.matrix.policy.value.upper()} eviction. */"]
@@ -111,24 +111,22 @@ def _generate_distinct(pruner: DistinctPruner) -> List[str]:
     return parts
 
 
-def _generate_topn_det(pruner: TopNDeterministic) -> List[str]:
-    parts = [f"/* Deterministic TOP-N: N={pruner.n}, "
-             f"w={pruner.w} power-of-two thresholds. */"]
-    parts.append(_register("topn_warmup_count", 64, 1))
-    parts.append(_register("topn_t0_min", 64, 1))
-    for i in range(pruner.w):
-        parts.append(_register(f"topn_counter{i}", 64, 1))
-        parts.append(_blackbox(
-            f"topn_guard{i}", f"topn_counter{i}",
-            f"    /* t_{i} = t0 << {i}; count entries >= t_{i} */\n"
-            "    condition_lo : cheetah.value0 >= meta.scratch;\n"
-            "    update_lo_1_value : register_lo + 1;\n"
-            "    output_value : register_lo;\n"
-        ))
-    return parts
-
-
-def _generate_topn_rand(pruner: TopNRandomized) -> List[str]:
+def emit_topn(pruner) -> List[str]:
+    if isinstance(pruner, TopNDeterministic):
+        parts = [f"/* Deterministic TOP-N: N={pruner.n}, "
+                 f"w={pruner.w} power-of-two thresholds. */"]
+        parts.append(_register("topn_warmup_count", 64, 1))
+        parts.append(_register("topn_t0_min", 64, 1))
+        for i in range(pruner.w):
+            parts.append(_register(f"topn_counter{i}", 64, 1))
+            parts.append(_blackbox(
+                f"topn_guard{i}", f"topn_counter{i}",
+                f"    /* t_{i} = t0 << {i}; count entries >= t_{i} */\n"
+                "    condition_lo : cheetah.value0 >= meta.scratch;\n"
+                "    update_lo_1_value : register_lo + 1;\n"
+                "    output_value : register_lo;\n"
+            ))
+        return parts
     d, w = pruner.matrix.rows, pruner.matrix.width
     parts = [f"/* Randomized TOP-N: N={pruner.n}, d={d} x w={w} "
              "rolling-minimum matrix. */"]
@@ -143,7 +141,7 @@ def _generate_topn_rand(pruner: TopNRandomized) -> List[str]:
     return parts
 
 
-def _generate_groupby(pruner: GroupByPruner) -> List[str]:
+def emit_groupby(pruner: GroupByPruner) -> List[str]:
     parts = [f"/* {pruner.aggregate.value.upper()} GROUP BY: "
              f"d={pruner.rows} x w={pruner.width} "
              "(fingerprint|best) slots. */"]
@@ -159,7 +157,7 @@ def _generate_groupby(pruner: GroupByPruner) -> List[str]:
     return parts
 
 
-def _generate_join(pruner: JoinPruner) -> List[str]:
+def emit_join(pruner: JoinPruner) -> List[str]:
     words = pruner.size_bits // 64
     kind = "register Bloom" if pruner.kind is FilterKind.REGISTER_BLOOM \
         else "classic Bloom"
@@ -177,7 +175,7 @@ def _generate_join(pruner: JoinPruner) -> List[str]:
     return parts
 
 
-def _generate_having(pruner: HavingPruner) -> List[str]:
+def emit_having(pruner: HavingPruner) -> List[str]:
     parts = [f"/* HAVING {pruner.aggregate.value}(x) > {pruner.threshold}: "
              f"Count-Min {pruner.depth} x {pruner.width}. */"]
     for row in range(pruner.depth):
@@ -190,7 +188,7 @@ def _generate_having(pruner: HavingPruner) -> List[str]:
     return parts
 
 
-def _generate_skyline(pruner: SkylinePruner) -> List[str]:
+def emit_skyline(pruner: SkylinePruner) -> List[str]:
     parts = [f"/* SKYLINE: D={pruner.dimensions} dims, w={pruner.width} "
              f"stored points, {pruner.projection.value} projection. */"]
     if pruner.projection is Projection.APH:
@@ -215,7 +213,7 @@ def _generate_skyline(pruner: SkylinePruner) -> List[str]:
     return parts
 
 
-def _generate_filter(pruner: FilterPruner) -> List[str]:
+def emit_filter(pruner: FilterPruner) -> List[str]:
     parts = ["/* Filtering: per-predicate compare ALUs + truth table. */"]
     parts.append(
         "table predicate_truth {\n"
@@ -227,26 +225,18 @@ def _generate_filter(pruner: FilterPruner) -> List[str]:
     return parts
 
 
-_GENERATORS = [
-    (DistinctPruner, _generate_distinct),
-    (TopNDeterministic, _generate_topn_det),
-    (TopNRandomized, _generate_topn_rand),
-    (GroupByPruner, _generate_groupby),
-    (JoinPruner, _generate_join),
-    (HavingPruner, _generate_having),
-    (SkylinePruner, _generate_skyline),
-    (FilterPruner, _generate_filter),
-]
-
-
 def generate_p4(pruner: PruningAlgorithm, max_values: int = 4) -> str:
     """Emit a P4-style program for ``pruner``.
 
-    Raises ``TypeError`` for pruner types without a generator.
+    Raises ``TypeError`` for pruner types no operator builds.
     """
-    for cls, generator in _GENERATORS:
-        if isinstance(pruner, cls):
-            body = generator(pruner)
+    # The operator table names this module's emitters, so it is
+    # imported here rather than at the top.
+    from repro.switch.operators import OPERATORS
+
+    for operator in OPERATORS.values():
+        if isinstance(pruner, operator.pruners):
+            body = operator.emit(pruner)
             break
     else:
         raise TypeError(

@@ -20,13 +20,37 @@ and table-entry accounting that feeds Table 2 (``64 * D`` TCAM entries,
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Sequence
+from typing import Sequence, Tuple
 
 from repro.switch.tables import TernaryTable, prefix_rules_for_msb
 
-#: Shared numpy copies of the 2^16-entry log tables, keyed by beta_bits.
-_NP_TABLE_CACHE: dict = {}
+#: Width of the static log table's index (2^16 entries, Appendix D).
+_TABLE_BITS = 16
+
+
+@functools.lru_cache(maxsize=None)
+def _log_table(beta_bits: int) -> Tuple[int, ...]:
+    """The static 2^16-entry table ``round(2^beta_bits * log2(a))``.
+
+    Read-only and fixed by ``beta_bits``, so every :class:`ApproxLog`
+    shares one (index 0 unused; log2(0) -> 0 sentinel so zero
+    dimensions contribute the minimum score).
+    """
+    beta = 1 << beta_bits
+    return (0,) + tuple(round(beta * math.log2(a))
+                        for a in range(1, 1 << _TABLE_BITS))
+
+
+@functools.lru_cache(maxsize=None)
+def _np_log_table(beta_bits: int):
+    """The read-only numpy copy of :func:`_log_table` (batch path)."""
+    import numpy as np
+
+    table = np.asarray(_log_table(beta_bits), dtype=np.int64)
+    table.flags.writeable = False
+    return table
 
 
 def msb_index(value: int, width_bits: int = 64) -> int:
@@ -58,7 +82,7 @@ class ApproxLog:
         Input key width (TCAM rule count per dimension = ``width_bits``).
     """
 
-    TABLE_BITS = 16
+    TABLE_BITS = _TABLE_BITS
 
     def __init__(self, beta_bits: int = 20, width_bits: int = 64):
         if not 1 <= beta_bits <= 28:
@@ -66,11 +90,7 @@ class ApproxLog:
         self.beta_bits = beta_bits
         self.width_bits = width_bits
         self.beta = 1 << beta_bits
-        # The static 2^16-entry log table (index 0 unused; log2(0) -> 0
-        # sentinel so zero dimensions contribute the minimum score).
-        self._table = [0] * (1 << self.TABLE_BITS)
-        for a in range(1, 1 << self.TABLE_BITS):
-            self._table[a] = round(self.beta * math.log2(a))
+        self._table = _log_table(beta_bits)
         # TCAM with the MSB classification rules, as installed in hardware.
         self._tcam = TernaryTable("aph_msb", width_bits=width_bits,
                                   max_entries=width_bits)
@@ -131,13 +151,7 @@ class ApproxLog:
             return None
         if values.size and int(values.max()) >= 1 << 52:
             return None  # frexp exponents are only exact below 2^52
-        # The log table only depends on beta_bits; share the numpy copy
-        # across ApproxLog instances so short batches don't pay a fresh
-        # 2^16-entry conversion each.
-        table = _NP_TABLE_CACHE.get(self.beta_bits)
-        if table is None:
-            table = np.asarray(self._table, dtype=np.int64)
-            _NP_TABLE_CACHE[self.beta_bits] = table
+        table = _np_log_table(self.beta_bits)
         out = np.zeros(values.shape, dtype=np.int64)
         small = values < (1 << self.TABLE_BITS)
         out[small] = table[values[small]]

@@ -73,8 +73,9 @@ TRACE_KIND = "cheetah-trace"
 #: Arrival processes :func:`generate_trace` knows how to synthesize.
 ARRIVAL_PROCESSES = ("poisson", "burst", "diurnal", "pareto")
 
-#: Scenario mix generated traces cycle through (all from the e2e suite).
-DEFAULT_REPLAY_MIX = (
+#: Scenario mix (all from the e2e suite) that generated traces,
+#: ``repro serve`` and ``repro bench concurrency`` cycle through.
+DEFAULT_MIX = (
     "distinct", "filter", "topn", "groupby_max",
     "having_sum", "groupby_sum", "skyline", "join",
 )
@@ -427,7 +428,7 @@ def _diurnal_arrivals(rng: random.Random, queries: int,
 
 def generate_trace(process: str, queries: int, *, rows: int = 240,
                    seed: int = 0,
-                   mix: Sequence[str] = DEFAULT_REPLAY_MIX,
+                   mix: Sequence[str] = DEFAULT_MIX,
                    interarrival: float = 30.0, burst_size: int = 4,
                    burst_gap: int = 120, period: int = 240,
                    amplitude: float = 0.9, alpha: float = 1.5,

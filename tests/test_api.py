@@ -152,43 +152,3 @@ class TestDeprecationShim:
 
         with pytest.raises(AttributeError):
             repro.cluster.definitely_not_a_name
-
-
-class TestAsyncSimulation:
-    def test_run_async_matches_run(self):
-        """The asyncio driver produces the identical report."""
-        import asyncio
-
-        from repro.cluster.simulation import (
-            ClusterSimulation,
-            SimulationConfig,
-            build_scenario,
-        )
-
-        query, tables = build_scenario("topn", rows=60, seed=2)
-        config = SimulationConfig(loss_rate=0.05, reorder_window=2,
-                                  seed=2)
-        sync_report = ClusterSimulation(config).run(query, tables)
-        async_report = asyncio.run(
-            ClusterSimulation(config).run_async(query, tables,
-                                                yield_every=8))
-        assert async_report.equivalent is True
-        assert async_report.ticks == sync_report.ticks
-        assert async_report.entries == sync_report.entries
-        assert async_report.delivered == sync_report.delivered
-        assert (async_report.retransmissions
-                == sync_report.retransmissions)
-
-    def test_run_async_validates_yield_every(self):
-        import asyncio
-
-        from repro.cluster.simulation import (
-            ClusterSimulation,
-            SimulationConfig,
-            build_scenario,
-        )
-
-        query, tables = build_scenario("filter", rows=40)
-        with pytest.raises(ValueError, match="yield_every"):
-            asyncio.run(ClusterSimulation(SimulationConfig())
-                        .run_async(query, tables, yield_every=0))

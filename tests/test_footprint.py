@@ -17,7 +17,7 @@ from repro.db.planner import QueryPlanner
 
 #: The scenario mix the serving workloads cycle through.
 SERVED_SCENARIOS = ("distinct", "filter", "topn", "groupby_sum",
-                    "having_sum", "join", "tpch_q3")
+                    "having_sum", "join", "tpch_q3", "skyline")
 
 PEAK_LIMIT_BYTES = 128 * 1024
 

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bench.runner import run_concurrency_bench
 from repro.cluster.scheduler import (
-    DEFAULT_TENANT_MIX,
     QueryScheduler,
     SchedulerConfig,
     TenantSpec,
@@ -339,5 +338,6 @@ class TestConcurrencyBenchAndCli:
 
     def test_default_mix_scenarios_exist(self):
         from repro.cluster.simulation import SCENARIOS
+        from repro.workloads.traces import DEFAULT_MIX
 
-        assert set(DEFAULT_TENANT_MIX) <= set(SCENARIOS)
+        assert set(DEFAULT_MIX) <= set(SCENARIOS)

@@ -30,7 +30,7 @@ from repro.cluster.simulation import (
 )
 from repro.workloads.traces import (
     ARRIVAL_PROCESSES,
-    DEFAULT_REPLAY_MIX,
+    DEFAULT_MIX,
     Trace,
     TraceQuery,
     generate_trace,
@@ -177,7 +177,7 @@ class TestGenerators:
             ["distinct", "filter", "distinct", "filter"]
 
     def test_default_mix_scenarios_exist(self):
-        assert set(DEFAULT_REPLAY_MIX) <= set(SCENARIOS)
+        assert set(DEFAULT_MIX) <= set(SCENARIOS)
 
     @pytest.mark.parametrize("kwargs,match", [
         (dict(process="weekly", queries=2), "unknown arrival process"),

@@ -97,13 +97,9 @@ class TestOptBaselines:
 
     def test_series_monotonicity_distinct(self):
         stream = random_order_stream(20_000, 500, seed=6)
-        series = opt.opt_unpruned_series("distinct", stream,
+        series = opt.opt_unpruned_series(opt.opt_unpruned_distinct, stream,
                                          [5000, 10_000, 20_000])
         assert series == sorted(series, reverse=True)
-
-    def test_series_unknown_kind(self):
-        with pytest.raises(ValueError):
-            opt.opt_unpruned_series("sort", [], [1])
 
 
 class TestBigDataGenerator:
