@@ -147,8 +147,7 @@ def _wants_e2e(names: List[str], args) -> bool:
 
 def _run_e2e(names: List[str], args) -> int:
     """Drive named scenarios end-to-end via the stable facade
-    (``repro.api.run_scenario``; direct ``ClusterSimulation``
-    construction is deprecated)."""
+    ``repro.api.run_scenario``."""
     from repro.api import run_scenario
     from repro.cluster.simulation import SCENARIOS
 
@@ -368,11 +367,7 @@ def _serve_socket(args, config, policy, chaos=None) -> int:
 def _serve(args) -> int:
     """Serve N concurrent tenants over shared simulated switches."""
     from repro.cluster.qos import parse_policy
-    from repro.cluster.scheduler import (
-        QueryScheduler,
-        SchedulerConfig,
-        tenant_specs,
-    )
+    from repro.cluster.scheduler import QueryScheduler, tenant_specs
     from repro.cluster.simulation import SCENARIOS, SimulationError
     from repro.workloads.traces import DEFAULT_MIX
 
@@ -389,18 +384,8 @@ def _serve(args) -> int:
                   if args.priorities else None)
     try:
         policy = parse_policy(args.policy)
-        config = SchedulerConfig(
-            slots=(args.slots if args.slots is not None
-                   else args.tenants),
-            queue_when_full=not args.reject_when_full,
-            policy=policy,
-            workers=args.workers, loss_rate=args.loss,
-            reorder_window=args.reorder, shards=args.shards,
-            seed=args.seed,
-            congestion=args.congestion,
-            queue_capacity=args.queue_capacity,
-            obs=_make_obs(args),
-        )
+        config = _scheduler_config(args, policy=policy,
+                                   obs=_make_obs(args))
     except ValueError as error:
         print(f"repro serve: {error}", file=sys.stderr)
         return 2
@@ -450,7 +435,7 @@ def _serve(args) -> int:
 def _replay(args) -> int:
     """Replay a recorded/generated arrival trace through the scheduler."""
     from repro.cluster.qos import parse_policy
-    from repro.cluster.scheduler import SchedulerConfig, replay_trace
+    from repro.cluster.scheduler import replay_trace
     from repro.cluster.simulation import SCENARIOS, SimulationError
     from repro.workloads.traces import generate_trace, load_trace
 
@@ -513,13 +498,8 @@ def _replay(args) -> int:
                 else 0.0)
         shards = (args.shards if args.shards is not None
                   else trace.shards if trace.shards is not None else 1)
-        config = SchedulerConfig(
-            slots=args.slots, queue_when_full=not args.reject_when_full,
-            policy=policy, workers=args.workers, loss_rate=loss,
-            reorder_window=args.reorder, shards=shards, seed=args.seed,
-            congestion=args.congestion,
-            queue_capacity=args.queue_capacity,
-            obs=_make_obs(args))
+        config = _scheduler_config(args, policy=policy, loss_rate=loss,
+                                   shards=shards, obs=_make_obs(args))
         report = replay_trace(trace, config, apply_overrides=False,
                               chaos=chaos)
     except (OSError, ValueError, SimulationError) as error:
@@ -602,11 +582,7 @@ def _chaos(args) -> int:
     """Serve a scenario fleet under fault injection; verify survivors."""
     from repro.cluster.chaos import ChaosController, generate_schedule
     from repro.cluster.qos import parse_policy
-    from repro.cluster.scheduler import (
-        QueryScheduler,
-        SchedulerConfig,
-        tenant_specs,
-    )
+    from repro.cluster.scheduler import QueryScheduler, tenant_specs
     from repro.cluster.simulation import SCENARIOS, SimulationError
 
     if args.scenario not in SCENARIOS:
@@ -621,14 +597,7 @@ def _chaos(args) -> int:
         return 2
     try:
         policy = parse_policy(args.policy)
-        config = SchedulerConfig(
-            slots=(args.slots if args.slots is not None
-                   else args.tenants),
-            policy=policy, workers=args.workers, loss_rate=args.loss,
-            reorder_window=args.reorder, shards=args.shards,
-            seed=args.seed,
-            congestion=args.congestion,
-            queue_capacity=args.queue_capacity)
+        config = _scheduler_config(args, policy=policy)
     except ValueError as error:
         print(f"repro chaos: {error}", file=sys.stderr)
         return 2
@@ -662,10 +631,7 @@ def _chaos(args) -> int:
     # Instrument only the run under fault injection — the baseline is
     # the equivalence reference, not the run being observed.
     obs = _make_obs(args)
-    if obs is not None:
-        import dataclasses
-
-        config = dataclasses.replace(config, obs=obs)
+    config = _scheduler_config(args, policy=policy, obs=obs)
     try:
         report = QueryScheduler(config).serve(specs, chaos=controller)
     except (ValueError, SimulationError) as error:
@@ -1103,32 +1069,30 @@ def _sql_demo(statement: str) -> int:
     return 0
 
 
-def _serving_flags(loss=None, shards=None, slots=None, policy=None,
-                   seed=0, slots_help="serving slots / QueryPack "
-                   "budget") -> argparse.ArgumentParser:
-    """The shared ``--loss/--shards/--slots/--policy/--seed`` parent.
+def _transport_flags(loss, shards, reorder=0) -> argparse.ArgumentParser:
+    """The transport flags of ``run``/``serve``/``replay``/``chaos``, one
+    per :class:`~repro.cluster.simulation.TransportConfig` field.
 
-    One definition point so the flags spell and behave identically
-    across ``serve``/``replay``/``chaos`` (the matrix of per-command
-    defaults is documented in README.md).  A fresh parser per
-    subcommand, because argparse ``parents=`` shares action objects —
-    one subcommand's default would otherwise leak into the others.
-    ``None`` defaults mean "resolved by the command" (e.g. replay
-    falls back to the trace header).
+    Only the defaults differ per command (the matrix is in README.md).
+    A fresh parser per subcommand, because argparse ``parents=``
+    shares action objects — one subcommand's default would otherwise
+    leak into the others.  ``None`` defaults are resolved by the
+    command: ``run`` takes the end-to-end path only when
+    ``--loss``/``--reorder`` is given; ``replay`` falls back to the
+    trace header.
     """
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--loss", type=float, default=loss,
                         help="per-channel loss probability in [0, 1)")
+    parent.add_argument("--reorder", type=int, default=reorder,
+                        help="channel reorder window (bounded "
+                        "displacement)")
     parent.add_argument("--shards", type=int, default=shards,
                         help="simulated switch pipelines to "
                         "hash-partition entries across")
-    parent.add_argument("--slots", type=int, default=slots,
-                        help=slots_help)
-    parent.add_argument("--policy", default=policy,
-                        help="QoS policy: fifo, tiers, "
-                        "tiers-no-preempt, or a custom class spec "
-                        "(see docs/QOS.md)")
-    parent.add_argument("--seed", type=int, default=seed,
+    parent.add_argument("--workers", type=int, default=4,
+                        help="CWorker partitions per table")
+    parent.add_argument("--seed", type=int, default=0,
                         help="deterministic master seed")
     parent.add_argument("--congestion", choices=["fixed", "aimd"],
                         default="fixed",
@@ -1143,11 +1107,46 @@ def _serving_flags(loss=None, shards=None, slots=None, policy=None,
     return parent
 
 
+def _serving_flags(loss=None, shards=None, slots=None, policy=None,
+                   slots_help="serving slots / QueryPack "
+                   "budget") -> argparse.ArgumentParser:
+    """The ``serve``/``replay``/``chaos`` parent: the transport flags
+    plus ``--slots/--policy``.  ``None`` defaults are resolved by the
+    command (one slot per tenant; replay's trace header and hints)."""
+    parent = argparse.ArgumentParser(
+        add_help=False, parents=[_transport_flags(loss, shards)])
+    parent.add_argument("--slots", type=int, default=slots,
+                        help=slots_help)
+    parent.add_argument("--policy", default=policy,
+                        help="QoS policy: fifo, tiers, "
+                        "tiers-no-preempt, or a custom class spec "
+                        "(see docs/QOS.md)")
+    return parent
+
+
+def _scheduler_config(args, **resolved):
+    """The ``SchedulerConfig`` of a ``serve``/``replay``/``chaos`` run:
+    the transport flags, ``--slots`` (default: one per tenant) and
+    ``--reject-when-full``, overridden by what the command ``resolved``
+    itself (the QoS policy, replay's trace-header loss/shards, the obs
+    sink).  Raises ``ValueError`` on an out-of-range knob."""
+    from repro.cluster.scheduler import SchedulerConfig
+
+    knobs = dict(
+        workers=args.workers, loss_rate=args.loss,
+        reorder_window=args.reorder, shards=args.shards, seed=args.seed,
+        congestion=args.congestion, queue_capacity=args.queue_capacity,
+        slots=args.slots if args.slots is not None else args.tenants,
+        queue_when_full=not getattr(args, "reject_when_full", False))
+    knobs.update(resolved)
+    return SchedulerConfig(**knobs)
+
+
 def _obs_flags() -> argparse.ArgumentParser:
     """The shared observability parent: ``--metrics-out``,
     ``--span-out``, ``--log-level`` on run/serve/replay/chaos
     (docs/OBSERVABILITY.md).  Fresh parser per subcommand, same
-    rationale as :func:`_serving_flags`."""
+    rationale as :func:`_transport_flags`."""
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--metrics-out", default=None, metavar="PATH",
                         help="export the run's metrics as OpenMetrics "
@@ -1215,38 +1214,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list available experiments")
 
     run_parser = sub.add_parser(
-        "run", parents=[_obs_flags()],
+        "run", parents=[_transport_flags(loss=None, shards=1,
+                                         reorder=None), _obs_flags()],
         help="run experiments, or drive an end-to-end scenario "
         "through the simulated cluster (with --loss/--reorder)")
     run_parser.add_argument("names", nargs="+",
                             help="experiment ids, 'all', or e2e scenario "
                             "names (e.g. tpch_q3, distinct, join)")
     run_parser.add_argument("--results-dir", default="results")
-    run_parser.add_argument("--loss", type=float, default=None,
-                            help="e2e: per-channel loss probability in "
-                            "[0, 1); selects the ClusterSimulation path")
-    run_parser.add_argument("--reorder", type=int, default=None,
-                            help="e2e: channel reorder window (bounded "
-                            "displacement)")
-    run_parser.add_argument("--shards", type=int, default=1,
-                            help="e2e: simulated switch pipelines")
-    run_parser.add_argument("--workers", type=int, default=4,
-                            help="e2e: CWorker partitions per table")
     run_parser.add_argument("--rows", type=int, default=1200,
                             help="e2e: scenario input size")
     run_parser.add_argument("--mode",
                             choices=["pipelined", "sequential", "both"],
                             default="pipelined",
                             help="e2e: switch dispatch mode")
-    run_parser.add_argument("--seed", type=int, default=0)
-    run_parser.add_argument("--congestion",
-                            choices=["fixed", "aimd"], default="fixed",
-                            help="e2e: transport mode "
-                            "(docs/CONGESTION.md)")
-    run_parser.add_argument("--queue-capacity", type=int, default=None,
-                            metavar="N",
-                            help="e2e: switch ingress-queue slots per "
-                            "pipeline (default: unbounded)")
 
     sql_parser = sub.add_parser("sql", help="run a demo SQL query "
                                 "through the Cheetah flow")
@@ -1281,10 +1262,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "submissions before admitting any, for "
                               "a deterministic tick domain under "
                               "racing clients")
-    serve_parser.add_argument("--reorder", type=int, default=0,
-                              help="channel reorder window")
-    serve_parser.add_argument("--workers", type=int, default=4,
-                              help="CWorker partitions per tenant table")
     serve_parser.add_argument("--rows", type=int, default=240,
                               help="rows per tenant scenario")
     serve_parser.add_argument("--mix", default=None,
@@ -1337,10 +1314,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(even kills hit shards, odd hit workers)")
     chaos_parser.add_argument("--out", default=None, metavar="PATH",
                               help="also save the applied schedule")
-    chaos_parser.add_argument("--reorder", type=int, default=0,
-                              help="channel reorder window")
-    chaos_parser.add_argument("--workers", type=int, default=4,
-                              help="CWorker partitions per tenant table")
 
     replay_parser = sub.add_parser(
         "replay",
@@ -1389,10 +1362,6 @@ def build_parser() -> argparse.ArgumentParser:
     replay_parser.add_argument("--out", default=None,
                                help="also save the (generated) trace "
                                "to this path")
-    replay_parser.add_argument("--reorder", type=int, default=0,
-                               help="channel reorder window")
-    replay_parser.add_argument("--workers", type=int, default=4,
-                               help="CWorker partitions per tenant table")
     replay_parser.add_argument("--reject-when-full", action="store_true",
                                help="reject arrivals with no free slot "
                                "instead of queueing them")

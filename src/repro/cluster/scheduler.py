@@ -79,11 +79,14 @@ from repro.cluster.qos import (
 )
 from repro.cluster.runtime import ShardedSwitchFrontend
 from repro.cluster.simulation import (
+    MAX_TICKS,
+    TRANSPORT_FIELDS,
     ActiveTransfer,
     ClusterSimulation,
     PassStats,
     SimulationConfig,
     SimulationError,
+    TransportConfig,
     build_scenario,
 )
 from repro.db.executor import ExecutionResult
@@ -132,8 +135,10 @@ class TenantSpec:
 
 
 @dataclasses.dataclass
-class SchedulerConfig:
-    """Knobs of one multi-tenant serving run.
+class SchedulerConfig(TransportConfig):
+    """Knobs of one multi-tenant serving run: the shared transport
+    (:class:`~repro.cluster.simulation.TransportConfig`, applied to
+    every tenant) plus the serving knobs.
 
     ``slots`` is the concurrent-tenant budget, enforced twice: the
     scheduler never admits more tenants than slots, and the shared
@@ -143,32 +148,17 @@ class SchedulerConfig:
     QoS policy the scheduler consults at every admission and service
     decision (default :func:`~repro.cluster.qos.fifo_policy`, which is
     byte-identical to the pre-QoS scheduler); its slot reservations
-    must fit within ``slots``.  ``congestion``/``queue_capacity``
-    select the transport mode (``docs/CONGESTION.md``): under
-    ``"aimd"`` each tenant's streams are paced by
+    must fit within ``slots``.  Under ``congestion="aimd"`` each
+    tenant's streams are paced by
     :class:`~repro.net.congestion.RateController` instances weighted
     by the tenant's resolved QoS class, so interactive tenants
-    converge to proportionally higher goodput under contention.  The
-    remaining knobs mirror
-    :class:`~repro.cluster.simulation.SimulationConfig` and are applied
-    to every tenant.
+    converge to proportionally higher goodput under contention.
     """
 
     slots: int = 4
     queue_when_full: bool = True
     policy: QosPolicy = dataclasses.field(default_factory=fifo_policy)
-    workers: int = 4
-    loss_rate: float = 0.0
-    reorder_window: int = 0
-    shards: int = 1
-    seed: int = 0
-    window: int = 32
-    timeout_ticks: int = 8
-    pipelined: bool = True
-    max_ticks: int = 2_000_000
     switch: SwitchModel = TOFINO_MODEL
-    congestion: str = "fixed"
-    queue_capacity: Optional[int] = None
     #: Optional :class:`~repro.obs.Observability` sink.  When set, the
     #: serving loop reports lifecycle events and polls transport /
     #: data-plane counters into it each tick (docs/OBSERVABILITY.md).
@@ -181,17 +171,16 @@ class SchedulerConfig:
         if self.slots < 1:
             raise ValueError(f"slots must be >= 1, got {self.slots}")
         self.policy.validate_slots(self.slots)
-        # Delegate range checks of the shared knobs: building a tenant
-        # config validates workers/loss/reorder/shards/window.
-        self.tenant_simulation_config(0)
+        super().__post_init__()
 
     def tenant_simulation_config(self, index: int,
                                  rate_weight: float = 1.0
                                  ) -> SimulationConfig:
         """The :class:`SimulationConfig` tenant ``index`` runs under.
 
-        Each tenant gets a decorrelated channel seed and a disjoint
-        flow-id range (``fid_base``), so concurrent flows are globally
+        The transport fields carry over unchanged, except that each
+        tenant gets a decorrelated channel seed and a disjoint flow-id
+        range (``fid_base``), so concurrent flows are globally
         distinguishable on the wire.  ``rate_weight`` is the tenant's
         resolved QoS-class weight, mapped onto its streams' AIMD
         controllers when ``congestion == "aimd"`` (ignored under the
@@ -199,19 +188,11 @@ class SchedulerConfig:
         configs for its solo baselines, making solo-vs-shared
         latencies directly comparable.
         """
+        transport = {name: getattr(self, name) for name in TRANSPORT_FIELDS}
+        transport["seed"] = self.seed + _TENANT_SEED_STRIDE * index
         return SimulationConfig(
-            workers=self.workers,
-            loss_rate=self.loss_rate,
-            reorder_window=self.reorder_window,
-            shards=self.shards,
-            seed=self.seed + _TENANT_SEED_STRIDE * index,
-            window=self.window,
-            timeout_ticks=self.timeout_ticks,
-            pipelined=self.pipelined,
-            max_ticks=self.max_ticks,
+            **transport,
             fid_base=index * (self.workers + self.shards),
-            congestion=self.congestion,
-            queue_capacity=self.queue_capacity,
             rate_weight=rate_weight,
         )
 
@@ -1123,9 +1104,9 @@ class ServingLoop:
             # Fully idle: tick stays put; the call was a no-op.
             return finished[done_before:]
         tick += 1
-        if tick > cfg.max_ticks:
+        if tick > MAX_TICKS:
             raise SimulationError(
-                f"serving did not complete within {cfg.max_ticks} "
+                f"serving did not complete within {MAX_TICKS} "
                 "global ticks (protocol livelock?)"
             )
         # Weighted fair service (deficit round robin): which active

@@ -98,6 +98,8 @@ from repro.db.table import Table
 from repro.net.channel import LossyChannel
 from repro.net.congestion import RateController
 from repro.net.reliability import (
+    TIMEOUT_TICKS,
+    WINDOW,
     BatchedSwitchForwarder,
     MasterEndpoint,
     ReliableWorker,
@@ -118,32 +120,28 @@ class SimulationError(ValueError):
     """The query cannot be driven over the wire as configured."""
 
 
+#: Ticks a solo pass (or a whole serving run) may take before the
+#: driver declares a protocol livelock.
+MAX_TICKS = 2_000_000
+
+
 @dataclasses.dataclass
-class SimulationConfig:
-    """Knobs of one end-to-end run.
+class TransportConfig:
+    """Knobs of the worker→switch→master path (§7.2), declared once for
+    :class:`SimulationConfig` and
+    :class:`~repro.cluster.scheduler.SchedulerConfig`.
 
-    ``window`` bounds each worker's unACKed packets in flight, which is
-    also the per-flow bound on the batch the pipelined switch drains per
-    tick.  ``pipelined`` selects the batched switch frontend; the
-    per-packet path is the reference.  ``fid_base`` offsets every flow
-    id this simulation stamps on the wire — the multi-tenant scheduler
-    gives each tenant a disjoint fid range so concurrent tenants' flows
-    are globally distinguishable.
-
-    **Transport knobs** (``docs/CONGESTION.md``): ``congestion``
-    selects the send schedule — ``"fixed"`` (the historical
-    fill-the-window-every-tick behaviour, bit-identical to before the
-    knob existed) or ``"aimd"`` (per-stream
-    :class:`~repro.net.congestion.RateController` pacing).
+    ``congestion`` selects the send schedule (``docs/CONGESTION.md``):
+    ``"fixed"`` fills the window every tick, ``"aimd"`` paces each
+    stream with a :class:`~repro.net.congestion.RateController`.
     ``queue_capacity`` bounds each switch pipeline's ingress queue
     (``None`` = unbounded); the worker→switch channel tail-drops past
     the aggregate bound and feeds queue-depth signals back to AIMD
-    senders.  ``rate_weight`` scales the AIMD additive increment —
-    the scheduler maps each tenant's QoS-class weight here, so
-    "interactive beats batch" holds at the transport layer too.
-    Results are unchanged by all three knobs: the §7.2 protocol
-    delivers every entry for any loss < 1, so only ticks and
-    retransmission counts move.
+    senders.  Results are unchanged by the transport: the §7.2
+    protocol delivers every entry for any loss < 1, so only ticks and
+    retransmission counts move.  The send window and retransmit
+    timeout are the :data:`~repro.net.reliability.WINDOW` and
+    :data:`~repro.net.reliability.TIMEOUT_TICKS` constants.
     """
 
     workers: int = 4
@@ -151,22 +149,12 @@ class SimulationConfig:
     reorder_window: int = 0
     shards: int = 1
     seed: int = 0
-    window: int = 32
-    timeout_ticks: int = 8
-    pipelined: bool = True
-    max_ticks: int = 2_000_000
-    fid_base: int = 0
     congestion: str = "fixed"
     queue_capacity: Optional[int] = None
-    rate_weight: float = 1.0
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if not 0 <= self.fid_base < (1 << 16):
-            raise ValueError(
-                f"fid_base must fit the 16-bit wire fid, got {self.fid_base}"
-            )
         if not 0.0 <= self.loss_rate < 1.0:
             raise ValueError(
                 f"loss_rate must be in [0, 1), got {self.loss_rate}"
@@ -177,8 +165,6 @@ class SimulationConfig:
             )
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
         if self.congestion not in ("fixed", "aimd"):
             raise ValueError(
                 f"congestion must be 'fixed' or 'aimd', "
@@ -187,6 +173,37 @@ class SimulationConfig:
             raise ValueError(
                 f"queue_capacity must be >= 1 (or None for unbounded), "
                 f"got {self.queue_capacity}")
+
+
+#: The shared field names, in declaration order.
+TRANSPORT_FIELDS = tuple(f.name for f in dataclasses.fields(TransportConfig))
+
+
+@dataclasses.dataclass
+class SimulationConfig(TransportConfig):
+    """Knobs of one end-to-end run: the transport plus three per-run
+    settings.
+
+    ``pipelined`` selects the batched switch frontend; the per-packet
+    path is the reference.  ``fid_base`` offsets every flow id this
+    simulation stamps on the wire — the multi-tenant scheduler gives
+    each tenant a disjoint fid range so concurrent tenants' flows are
+    globally distinguishable.  ``rate_weight`` scales the AIMD
+    additive increment — the scheduler maps each tenant's QoS-class
+    weight here, so "interactive beats batch" holds at the transport
+    layer too.
+    """
+
+    pipelined: bool = True
+    fid_base: int = 0
+    rate_weight: float = 1.0
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not 0 <= self.fid_base < (1 << 16):
+            raise ValueError(
+                f"fid_base must fit the 16-bit wire fid, got {self.fid_base}"
+            )
         if self.rate_weight <= 0:
             raise ValueError(
                 f"rate_weight must be > 0, got {self.rate_weight}")
@@ -313,15 +330,13 @@ class ActiveTransfer:
             # acked window.
             self.controllers = {
                 fid: RateController(weight=cfg.rate_weight,
-                                    initial=max(1.0, cfg.window / 4),
+                                    initial=WINDOW / 4,
                                     additive=1.0,
-                                    cooldown=cfg.timeout_ticks)
+                                    cooldown=TIMEOUT_TICKS)
                 for fid in request.streams
             }
         self.workers = {
             fid: ReliableWorker(fid, entries,
-                                timeout_ticks=cfg.timeout_ticks,
-                                window=cfg.window,
                                 controller=self.controllers.get(fid))
             for fid, entries in request.streams.items()
         }
@@ -539,12 +554,10 @@ class ClusterSimulation:
                 return stop.value
             active = self.begin_transfer(request)
             while not active.done:
-                if active.ticks >= self.config.max_ticks:
+                if active.ticks >= MAX_TICKS:
                     raise SimulationError(
                         f"pass {request.name!r} did not complete within "
-                        f"{self.config.max_ticks} ticks (protocol "
-                        "livelock?)"
-                    )
+                        f"{MAX_TICKS} ticks (protocol livelock?)")
                 active.step()
             passes.append(active.stats())
             value = active.delivered()

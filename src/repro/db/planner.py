@@ -321,7 +321,8 @@ class QueryPlanner:
                 result = execute(query, table.take(keep))
                 return CheetahRun(
                     result=result,
-                    traffic=TrafficStats(len(table), len(keep)),
+                    traffic=TrafficStats(len(table), len(keep),
+                                         tail_unpruned_fraction=tail),
                     pruner=pruner,
                 )
             # SUM/COUNT: the master got a superset of candidate keys; the

@@ -44,6 +44,14 @@ from repro.net.wire import (
 
 PruneFn = Callable[[Tuple[int, ...]], bool]
 
+#: Unacked packets a worker keeps in flight per flow (the §7.2 send
+#: window).  This is also the per-flow bound on the batch the pipelined
+#: switch drains per tick.
+WINDOW = 32
+
+#: Event-loop ticks before a worker retransmits an unacked packet.
+TIMEOUT_TICKS = 8
+
 
 class ReliableWorker:
     """CWorker side: send entries, retransmit on timeout.
@@ -75,7 +83,7 @@ class ReliableWorker:
     """
 
     def __init__(self, fid: int, entries: Sequence[Tuple[int, ...]],
-                 timeout_ticks: int = 8, window: int = 32,
+                 timeout_ticks: int = TIMEOUT_TICKS, window: int = WINDOW,
                  per_packet: int = 1, controller=None):
         if timeout_ticks < 1:
             raise ValueError(f"timeout must be >= 1 tick, got {timeout_ticks}")
@@ -448,7 +456,7 @@ def run_transfer(workers_entries: Dict[int, Sequence[Tuple[int, ...]]],
                  prune_fn: PruneFn,
                  loss_rate: float = 0.0,
                  seed: int = 0,
-                 timeout_ticks: int = 8,
+                 timeout_ticks: int = TIMEOUT_TICKS,
                  max_ticks: int = 1_000_000,
                  per_packet: int = 1,
                  values_per_entry: int = 1) -> TransferReport:

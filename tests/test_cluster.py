@@ -17,6 +17,7 @@ from repro.db import (
     DistinctQuery,
     FilterQuery,
     GroupByQuery,
+    HavingQuery,
     Table,
     TopNQuery,
     execute,
@@ -264,3 +265,25 @@ class TestCheetahRuntime:
         big_fwd = CR._extrapolate_forwarded(
             "topn", report_big.traffic, 10_000_000)
         assert big_fwd / 10_000_000 < small_frac
+
+    def test_having_max_extrapolates_at_the_tail_rate(self, table):
+        """HAVING's scale law is ``tail`` for every aggregate: MAX/MIN
+        runs measure the steady-state unpruned rate too, and the priced
+        forwarded count at 10M rows follows it, not the warm-up-inflated
+        sample average."""
+        from repro.cluster.runtime import CheetahRuntime as CR
+
+        query = HavingQuery(key_column="k", value_column="v",
+                            threshold=90, aggregate="max")
+        report = CheetahRuntime().run(query, table,
+                                      extrapolate_to_rows=10_000_000)
+        traffic = report.traffic
+        assert traffic.tail_unpruned_fraction is not None
+        extra = 10_000_000 - traffic.first_pass_entries
+        assert CR._extrapolate_forwarded("having", traffic, 10_000_000) == (
+            round(traffic.forwarded_entries
+                  + extra * traffic.tail_unpruned_fraction))
+        linear = round(traffic.forwarded_entries * 10_000_000
+                       / traffic.first_pass_entries)
+        assert CR._extrapolate_forwarded(
+            "having", traffic, 10_000_000) < linear

@@ -8,6 +8,8 @@ admission edge cases: tenants arriving mid-run, slot-budget queueing and
 rejection, and switch-resource rejection.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +20,12 @@ from repro.cluster.scheduler import (
     TenantSpec,
     tenant_specs,
 )
-from repro.cluster.simulation import ClusterSimulation, build_scenario
+from repro.cluster.simulation import (
+    TRANSPORT_FIELDS,
+    ClusterSimulation,
+    SimulationConfig,
+    build_scenario,
+)
 from repro.core.multiquery import QueryPack
 from repro.switch.resources import ResourceExhausted, SMALL_SWITCH_MODEL
 
@@ -181,6 +188,56 @@ class TestFairnessAndAccounting:
             SchedulerConfig(loss_rate=1.0)
         with pytest.raises(ValueError, match="arrival_tick"):
             TenantSpec("t", "distinct", arrival_tick=-1)
+
+
+#: Transport field -> (a valid non-default value, an invalid value or
+#: None when every value is valid: any int seeds the channel RNG).
+TRANSPORT_VALUES = {
+    "workers": (3, 0),
+    "loss_rate": (0.1, 1.0),
+    "reorder_window": (2, -1),
+    "shards": (3, 0),
+    "seed": (7, None),
+    "congestion": ("aimd", "tcp"),
+    "queue_capacity": (5, 0),
+}
+
+
+class TestTenantSimulationConfig:
+    """``SchedulerConfig`` and ``SimulationConfig`` share one transport
+    declaration; a tenant's config is derived from it, not copied."""
+
+    def test_each_transport_knob_is_declared_once(self):
+        assert set(TRANSPORT_FIELDS) == set(TRANSPORT_VALUES)
+        sim = [f.name for f in dataclasses.fields(SimulationConfig)]
+        sched = [f.name for f in dataclasses.fields(SchedulerConfig)]
+        assert sim == [*TRANSPORT_FIELDS, "pipelined", "fid_base",
+                       "rate_weight"]
+        assert sched == [*TRANSPORT_FIELDS, "slots", "queue_when_full",
+                         "policy", "switch", "obs"]
+
+    @pytest.mark.parametrize("field", sorted(TRANSPORT_VALUES))
+    def test_tenant_config_carries_the_knob(self, field):
+        value, _ = TRANSPORT_VALUES[field]
+        config = SchedulerConfig(**{field: value})
+        tenant = config.tenant_simulation_config(2, rate_weight=3.0)
+        expected = value + 2 * 1009 if field == "seed" else value
+        assert getattr(tenant, field) == expected
+        assert tenant.fid_base == 2 * (config.workers + config.shards)
+        assert tenant.rate_weight == 3.0
+        assert tenant.pipelined is True
+
+    @pytest.mark.parametrize("field", sorted(
+        name for name, (_, bad) in TRANSPORT_VALUES.items()
+        if bad is not None))
+    def test_bad_knob_is_rejected_with_the_simulation_message(self, field):
+        bad = TRANSPORT_VALUES[field][1]
+        with pytest.raises(ValueError) as sim_error:
+            SimulationConfig(**{field: bad})
+        with pytest.raises(ValueError) as sched_error:
+            SchedulerConfig(**{field: bad})
+        assert str(sched_error.value) == str(sim_error.value)
+        assert field in str(sim_error.value)
 
 
 class TestTelemetryAndEdgeCases:
