@@ -646,14 +646,12 @@ def _obs_section(payload) -> str:
         "## Observability overhead (`repro bench obs`)\n\n"
         "The [OBSERVABILITY.md](OBSERVABILITY.md) invariants, measured: "
         "the same seeded fleet served bare (`obs=None`) and fully "
-        "instrumented (metrics + span tracing), walls interleaved and "
-        "median-of-"
+        "instrumented (metrics + span tracing), walls interleaved "
+        "(the arm that runs first alternates) and median-of-"
         f"{payload['repeats']}; the fig11 batched dataplane kernel "
-        "bare vs. with per-batch counter publication.  CI gates the "
-        "fig11 kernel overhead at 1.10x (the serving-loop ratio is "
-        "recorded, not gated: at CI sizes it mostly measures polling "
-        "constant-cost against a ~0.3s baseline) and asserts the two "
-        "determinism claims below.\n\n"
+        "bare vs. with per-batch counter publication.  CI gates both "
+        "overheads at 1.10x and asserts the two determinism claims "
+        "below.\n\n"
         + _table(["path", "obs off (s)", "obs on (s)", "overhead"],
                  rows)
         + "\n\n"

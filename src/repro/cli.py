@@ -275,17 +275,21 @@ def _announce_trace(args, config, path: str, version: int) -> None:
     """Print the recorded-trace line with its replay command.  The
     header pins loss/shards, but the remaining scheduler knobs must
     ride the replay command for the byte-identical round trip —
-    include every non-default one, shell-quoted (custom policy specs
-    contain ';')."""
+    include every transport flag that differs from ``repro replay``'s
+    default (read off the parser :func:`_transport_flags` builds),
+    shell-quoted (custom policy specs contain ';')."""
     import shlex
 
     replay_cmd = (f"repro replay {shlex.quote(path)} "
                   f"--policy {shlex.quote(args.policy)} "
-                  f"--slots {config.slots} --seed {args.seed}")
-    if args.reorder:
-        replay_cmd += f" --reorder {args.reorder}"
-    if args.workers != 4:
-        replay_cmd += f" --workers {args.workers}"
+                  f"--slots {config.slots}")
+    for action in _transport_flags(loss=None, shards=None)._actions:
+        if action.dest in ("loss", "shards"):
+            continue
+        value = getattr(args, action.dest)
+        if value != action.default:
+            replay_cmd += (f" {action.option_strings[0]} "
+                           f"{shlex.quote(str(value))}")
     if args.reject_when_full:
         replay_cmd += " --reject-when-full"
     print(f"  -> recorded trace {path} "

@@ -160,8 +160,9 @@ class SchedulerConfig(TransportConfig):
     policy: QosPolicy = dataclasses.field(default_factory=fifo_policy)
     switch: SwitchModel = TOFINO_MODEL
     #: Optional :class:`~repro.obs.Observability` sink.  When set, the
-    #: serving loop reports lifecycle events and polls transport /
-    #: data-plane counters into it each tick (docs/OBSERVABILITY.md).
+    #: serving loop reports lifecycle events and pass ends to it, and
+    #: it reads transport / data-plane counters off the loop whenever
+    #: its registry is read (docs/OBSERVABILITY.md).
     #: Strictly read-only with respect to scheduling state: obs-on
     #: decisions are bit-identical to the default ``None`` (no-op).
     obs: Optional[Any] = dataclasses.field(default=None, repr=False,
@@ -866,6 +867,8 @@ class ServingLoop:
         #: Optional :class:`~repro.obs.Observability` sink (from the
         #: config); ``None`` keeps every hook site a no-op.
         self.obs = self.config.obs
+        if self.obs is not None:
+            self.obs.attach(self)
         self.tick = 0
         self.pending: List[_TenantRun] = []
         self.waiting: List[_TenantRun] = []
@@ -1124,10 +1127,14 @@ class ServingLoop:
             if not run.current.done:
                 continue
             run.finish_pass()
+            if self.obs is not None:
+                self.obs.on_pass_end(run, tick)
             try:
                 more = run.advance()
             except (ResourceExhausted, CompilationError) as error:
                 run.fail(f"mid-run install failed: {error}", tick)
+                if self.obs is not None:
+                    self.obs.on_fail(run, tick)
                 done_runs.append(run)
                 continue
             if not more:

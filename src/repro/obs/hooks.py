@@ -14,19 +14,24 @@ Two invariants keep the §acceptance gates honest:
   switch state, draws randomness, or reads a wall clock — so obs-on
   decisions are bit-identical to obs-off (CI sha256-compares them)
   and two identical seeded runs export byte-identical files.
-* **Per-pass counter folding.** Each wire pass builds a fresh
-  :class:`~repro.cluster.simulation.ActiveTransfer` (fresh channels,
-  workers, forwarder), so subsystem counters reset per pass.  The
-  poller detects the transfer swap by object identity, folds the
-  finished pass's totals into a per-tenant base, and publishes
-  ``base + live`` through :meth:`Counter.set_total` — cumulative
-  counters stay monotone across passes.
+* **Push on pass end, collect on read.**  Each wire pass builds a
+  fresh :class:`~repro.cluster.simulation.ActiveTransfer` (fresh
+  channels, workers, forwarder), so subsystem counters reset per
+  pass.  ``ServingLoop`` calls :meth:`Observability.on_pass_end` as
+  each pass finishes, which folds its totals into a per-tenant base
+  (plain integers, no metric writes).  Everything that moves every
+  tick — live transport and channel counters, channel-depth and rate
+  gauges, shard stats, loop gauges — is computed only when the
+  registry is read: a collector publishes ``base + live`` through
+  :meth:`Counter.set_total`, so cumulative counters stay monotone
+  across passes and the per-tick hook is a few integer additions.
 """
 
 from __future__ import annotations
 
 import logging
-from typing import Dict, List, Optional
+import weakref
+from typing import Dict, List, Optional, Tuple
 
 from . import names
 from .metrics import MetricsRegistry
@@ -59,6 +64,14 @@ def _transfer_totals(transfer) -> Dict[str, int]:
     return totals
 
 
+def _transfer_gauges(transfer) -> Tuple[Dict[str, int], Dict]:
+    """Channel depths and per-flow ``(rate, peak rate)`` of a pass."""
+    depth = {name: getattr(transfer, name).pending() for name in _CHANNELS}
+    rates = {fid: (controller.rate, controller.peak_rate)
+             for fid, controller in transfer.controllers.items()}
+    return depth, rates
+
+
 class Observability:
     """Metrics + spans for one serving run (``SchedulerConfig.obs``).
 
@@ -73,10 +86,21 @@ class Observability:
                              "disable observability by passing obs=None")
         self.registry = MetricsRegistry()
         self.tracer: Optional[SpanTracer] = SpanTracer() if spans else None
-        #: tenant index -> per-run polling state (see module docstring).
+        #: tenant index -> folded pass state of each admitted tenant
+        #: still in service (see module docstring); dropped when the
+        #: tenant completes or fails.
         self._state: Dict[int, Dict] = {}
+        #: QoS class -> DRR service steps, published on read.
+        self._service: Dict[str, int] = {}
+        #: Weak reference to the
+        #: :class:`~repro.cluster.scheduler.ServingLoop` the collector
+        #: reads (set by :meth:`attach`).  Weak, so the registry does
+        #: not keep a finished loop alive: :meth:`finalize` collects
+        #: its last state, which later reads keep showing.
+        self._loop = lambda: None
         self._finalized = False
         self._register()
+        self.registry.register_collector(self._collect)
 
     def _register(self) -> None:
         """Pre-register the full catalog (docs/OBSERVABILITY.md), so
@@ -187,11 +211,20 @@ class Observability:
             "Ticks spent in worker-kill recovery.")
 
     # -- lifecycle hooks (called by ServingLoop) -------------------------------
+    def attach(self, loop) -> None:
+        """Read ``loop`` whenever the registry is read (the serving
+        loop attaches itself at construction)."""
+        self._loop = weakref.ref(loop)
+
     def on_admit(self, run, tick: int) -> None:
         cls = run.qos_class.name
         self.sched_admissions.inc(qos_class=cls)
         wait = tick - run.spec.arrival_tick
         self.query_wait.observe(wait, qos_class=cls)
+        if run.current is not None:
+            self._state[run.index] = {
+                "run": run, "base": {}, "depth": {}, "rates": {},
+                "pass_start": tick, "pass_no": 1}
         if self.tracer is None:
             return
         tenant = run.spec.tenant
@@ -211,12 +244,16 @@ class Observability:
         self.sched_completions.inc(qos_class=cls)
         self.query_latency.observe(tick - run.spec.arrival_tick,
                                    qos_class=cls)
-        state = self._state.get(run.index)
-        if state is not None and state["transfer"] is not None:
-            self._fold(state, tick)
+        self._retire(run)
         if self.tracer is not None:
             self.tracer.end(("service", run.index), tick,
                             passes=len(run.passes))
+
+    def on_fail(self, run, tick: int) -> None:
+        self._retire(run)
+        if self.tracer is not None:
+            self.tracer.end(("service", run.index), tick,
+                            passes=len(run.passes), failed=True)
 
     def on_reject(self, run, tick: int) -> None:
         self.sched_rejections.inc(qos_class=run.qos_class.name)
@@ -257,61 +294,84 @@ class Observability:
                         args[key] = len(value)
                 self.tracer.instant(event, tick, track="chaos",
                                     cat=names.CAT_CHAOS, **args)
-        self._poll_chaos(controller)
-
-    def _poll_chaos(self, controller) -> None:
+        # The controller's totals only move while events apply.
         self.chaos_migrations.set_total(controller.migrations)
         self.chaos_restored.set_total(controller.restored)
         self.chaos_replayed.set_total(controller.replayed_packets)
         self.chaos_recovery.set_total(controller.recovery_ticks)
 
-    def on_service_tick(self, loop, tick: int, stepped) -> None:
-        """End-of-tick poll: loop gauges, per-tenant transport and
-        channel counters, data-plane shard stats."""
-        occupancy = sum(run.spec.slots for run in loop.active)
-        self.sched_tick.set(tick)
-        self.sched_occupancy.set(occupancy)
-        self.sched_queue_depth.set(len(loop.waiting))
-        self.sched_suspended.set(len(loop.suspended))
-        self.sched_active.set(len(loop.active))
-        for run in stepped:
-            self.sched_service.inc(qos_class=run.qos_class.name)
-        for run in loop.active:
-            self._poll_run(run, tick)
-        self._poll_frontend(loop.frontend)
+    def on_pass_end(self, run, tick: int) -> None:
+        """Fold the pass ``run`` just finished (``run.current``, before
+        the next pass begins) into the tenant's base, keep
+        its final depth and rate readings, and (with spans on) record
+        its ``pass:`` span.  Plain integer work: no metric writes."""
+        state = self._state[run.index]
+        transfer = run.current
+        totals = _transfer_totals(transfer)
+        base = state["base"]
+        for key, value in totals.items():
+            base[key] = base.get(key, 0) + value
+        state["depth"], rates = _transfer_gauges(transfer)
+        state["rates"].update(rates)
         if self.tracer is not None:
-            self.tracer.counter(names.COUNTER_OCCUPANCY, tick,
-                                {"slots": occupancy})
+            self._record_pass(state, transfer, totals, tick)
+        state["pass_start"] = tick
+        state["pass_no"] += 1
+
+    def on_service_tick(self, loop, tick: int, stepped) -> None:
+        """End-of-tick hook: count DRR service steps per class and,
+        with spans on, sample the occupancy and queue-depth tracks.
+        Everything else is read by the collector on demand."""
+        service = self._service
+        for run in stepped:
+            name = run.qos_class.name
+            service[name] = service.get(name, 0) + 1
+        if self.tracer is not None:
+            self.tracer.counter(
+                names.COUNTER_OCCUPANCY, tick,
+                {"slots": sum(run.spec.slots for run in loop.active)})
             self.tracer.counter(names.COUNTER_QUEUE_DEPTH, tick,
                                 {"tenants": len(loop.waiting)})
 
-    # -- per-run polling -------------------------------------------------------
-    def _poll_run(self, run, tick: int) -> None:
-        state = self._state.get(run.index)
-        if state is None:
-            state = {"run": run, "transfer": None, "base": {},
-                     "pass_start": tick, "pass_no": 0}
-            self._state[run.index] = state
-        transfer = run.current
-        if transfer is not state["transfer"]:
-            if state["transfer"] is not None:
-                self._fold(state, tick)
-            state["transfer"] = transfer
-            state["pass_start"] = tick
-            state["pass_no"] += 1
-        if transfer is None:
+    # -- collect on read -------------------------------------------------------
+    def _collect(self) -> None:
+        """Registry collector: publish the attached loop as it is now."""
+        loop = self._loop()
+        if loop is None:
             return
-        base = state["base"]
-        live = _transfer_totals(transfer)
-        self._publish(run.spec.tenant, base, live, transfer)
+        self.sched_tick.set(loop.tick)
+        self.sched_occupancy.set(sum(run.spec.slots
+                                     for run in loop.active))
+        self.sched_queue_depth.set(len(loop.waiting))
+        self.sched_suspended.set(len(loop.suspended))
+        self.sched_active.set(len(loop.active))
+        for name, steps in self._service.items():
+            self.sched_service.set_total(steps, qos_class=name)
+        for state in self._state.values():
+            self._publish(state, state["run"].current)
+        self._collect_frontend(loop.frontend)
 
-    def _publish(self, tenant: str, base: Dict[str, int],
-                 live: Dict[str, int], transfer) -> None:
-        """Publish ``base + live`` counter totals and the live channel
-        depth / rate gauges for one tenant."""
+    def _retire(self, run) -> None:
+        """Publish a finished tenant's final totals and drop its state."""
+        state = self._state.pop(run.index, None)
+        if state is not None:
+            self._publish(state, None)
+
+    def _publish(self, state: Dict, live) -> None:
+        """Publish one tenant's folded totals plus those of ``live``
+        (its in-flight pass, or ``None``), and its channel-depth and
+        rate gauges: the live pass's, over the last finished pass's."""
+        tenant = state["run"].spec.tenant
+        totals = dict(state["base"])
+        depth, rates = state["depth"], state["rates"]
+        if live is not None:
+            for key, value in _transfer_totals(live).items():
+                totals[key] = totals.get(key, 0) + value
+            depth, live_rates = _transfer_gauges(live)
+            rates = {**rates, **live_rates}
 
         def total(key: str) -> int:
-            return base.get(key, 0) + live.get(key, 0)
+            return totals.get(key, 0)
 
         self.transport_retransmissions.set_total(
             total("retransmissions"), tenant=tenant)
@@ -335,30 +395,16 @@ class Observability:
             self.channel_tail_drops.set_total(
                 total(f"{channel_name}_tail_dropped"),
                 tenant=tenant, channel=channel_name)
-            self.channel_depth.set(
-                getattr(transfer, channel_name).pending(),
-                tenant=tenant, channel=channel_name)
-        for fid in sorted(transfer.controllers):
-            controller = transfer.controllers[fid]
-            self.transport_rate.set(controller.rate,
-                                    tenant=tenant, fid=fid)
-            self.transport_rate_peak.set(controller.peak_rate,
-                                         tenant=tenant, fid=fid)
+        for channel_name, pending in depth.items():
+            self.channel_depth.set(pending, tenant=tenant,
+                                   channel=channel_name)
+        for fid, (rate, peak) in rates.items():
+            self.transport_rate.set(rate, tenant=tenant, fid=fid)
+            self.transport_rate_peak.set(peak, tenant=tenant, fid=fid)
 
-    def _fold(self, state: Dict, tick: int) -> None:
-        """Fold a finished pass's counters into the tenant base,
-        re-publish the now-exact totals (the pass's last tick happened
-        after the last end-of-tick poll), and (with spans on) record
-        its ``pass:`` span."""
-        transfer = state["transfer"]
-        totals = _transfer_totals(transfer)
-        base = state["base"]
-        for key, value in totals.items():
-            base[key] = base.get(key, 0) + value
-        self._publish(state["run"].spec.tenant, base, {}, transfer)
-        state["transfer"] = None
-        if self.tracer is None:
-            return
+    def _record_pass(self, state: Dict, transfer, totals: Dict[str, int],
+                     tick: int, **extra) -> None:
+        """The ``pass:`` span of ``transfer``, from the tick it began."""
         run = state["run"]
         request = transfer.request
         self.tracer.record(
@@ -375,9 +421,9 @@ class Observability:
             drops=sum(totals[f"{c}_dropped"] for c in _CHANNELS),
             pruned=totals["switch_prunes"],
             offered=totals["switch_offers"],
-            duplicates=totals["duplicates"])
+            duplicates=totals["duplicates"], **extra)
 
-    def _poll_frontend(self, frontend) -> None:
+    def _collect_frontend(self, frontend) -> None:
         self.switch_installed.set(len(frontend.installed_queries()))
         per_shard_stats = getattr(frontend, "per_shard_stats", None)
         if per_shard_stats is None:
@@ -390,20 +436,22 @@ class Observability:
 
     # -- end of run ------------------------------------------------------------
     def finalize(self, loop) -> None:
-        """Fold still-open passes, stamp the final tick, close open
-        spans.  Idempotent — the socket server and the synchronous
+        """Close open spans (a pass still in flight gets a truncated
+        ``pass:`` span) and publish the loop's final state.
+        Idempotent — the socket server and the synchronous
         ``QueryScheduler.serve`` may both reach it."""
         if self._finalized:
             return
         tick = loop.tick
-        for state in self._state.values():
-            if state["transfer"] is not None:
-                self._fold(state, tick)
-        self.sched_tick.set(tick)
-        if loop.chaos is not None:
-            self._poll_chaos(loop.chaos)
         if self.tracer is not None:
+            for state in self._state.values():
+                transfer = state["run"].current
+                if transfer is not None:
+                    self._record_pass(state, transfer,
+                                      _transfer_totals(transfer), tick,
+                                      truncated=True)
             self.tracer.finalize(tick)
+        self.registry.collect()
         self._finalized = True
         logger.debug("observability finalized at tick %d", tick)
 

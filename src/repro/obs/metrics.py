@@ -20,7 +20,7 @@ byte-identity contract for no observability gain.
 from __future__ import annotations
 
 import logging
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 logger = logging.getLogger(__name__)
 
@@ -98,11 +98,11 @@ class Counter(_Metric):
         self._samples[key] = self._samples.get(key, 0) + amount
 
     def set_total(self, value: float, **labels) -> None:
-        """Poller entry point: adopt an externally accumulated total.
+        """Collector entry point: adopt an externally accumulated total.
 
         Monotone by construction (``max`` with the current sample), so
         a subsystem whose own counter resets — a channel torn down
-        with its pass — can be re-polled safely after the caller folds
+        with its pass — can be re-read safely after the caller folds
         completed-epoch totals into ``value``.
         """
         key = self._key(labels)
@@ -171,6 +171,7 @@ class MetricsRegistry:
 
     def __init__(self):
         self._metrics: Dict[str, _Metric] = {}
+        self._collectors: List[Callable[[], None]] = []
 
     def _get_or_create(self, cls, name: str, help_text: str,
                        labelnames: Sequence[str], **kwargs):
@@ -201,6 +202,19 @@ class MetricsRegistry:
         return self._get_or_create(Histogram, name, help_text,
                                    labelnames, buckets=buckets)
 
+    def register_collector(self, collect: Callable[[], None]) -> None:
+        """Run ``collect`` before every read (:meth:`snapshot`,
+        :meth:`render_openmetrics`, :meth:`write`) — the Prometheus
+        custom-collector idiom: values that are cheap to compute when
+        asked for but costly to keep current every tick are published
+        by the collector instead of on the hot path."""
+        self._collectors.append(collect)
+
+    def collect(self) -> None:
+        """Run every registered collector."""
+        for collect in self._collectors:
+            collect()
+
     def __contains__(self, name: str) -> bool:
         return name in self._metrics
 
@@ -218,6 +232,7 @@ class MetricsRegistry:
         so the metric *catalog* is stable across runs that exercise
         different code paths.
         """
+        self.collect()
         stamp = "" if tick is None else f" {int(tick)}"
         lines: List[str] = []
         for name in sorted(self._metrics):
@@ -272,6 +287,7 @@ class MetricsRegistry:
         deterministic under ``json.dumps(..., sort_keys=True)`` — the
         schema is documented in docs/PROTOCOL.md §4.
         """
+        self.collect()
         out: Dict[str, Dict] = {}
         for name in sorted(self._metrics):
             metric = self._metrics[name]

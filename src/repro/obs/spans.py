@@ -44,6 +44,8 @@ class SpanTracer:
         self._events: List[Dict] = []
         self._tracks: Dict[str, int] = {}
         self._open: Dict[object, Dict] = {}
+        #: counter name -> its last sampled values.
+        self._counters: Dict[str, Dict[str, float]] = {}
 
     def __len__(self) -> int:
         return len(self._events)
@@ -101,7 +103,13 @@ class SpanTracer:
     def counter(self, name: str, tick: int,
                 values: Dict[str, float],
                 track: str = "counters") -> None:
-        """A ``ph: "C"`` counter sample (one stacked track per name)."""
+        """A ``ph: "C"`` counter sample (one stacked track per name).
+
+        A counter track holds its value until the next sample, so a
+        sample equal to the track's previous one is dropped."""
+        if self._counters.get(name) == values:
+            return
+        self._counters[name] = values
         self._events.append({
             "name": name,
             "cat": "counter",

@@ -321,7 +321,7 @@ class ReproServer:
         full metrics snapshot (docs/PROTOCOL.md §4).  The ``metrics``
         field rides on proto/v1's must-ignore-unknown-fields rule, so
         v1 clients that predate it keep working unchanged.  The
-        snapshot grows with every tenant ever polled; once it no
+        snapshot grows with every tenant ever admitted; once it no
         longer fits a frame the reply carries the summary alone,
         marked ``metrics_truncated``, instead of killing the
         connection that asked."""

@@ -12,6 +12,10 @@ The acceptance properties of ``repro.obs``:
   (Perfetto-loadable) and the metrics export is valid OpenMetrics
   (HELP/TYPE headers, histogram ``_bucket``/``_sum``/``_count``,
   terminal ``# EOF``).
+* **Accounting** — every wire pass is exported, read-time values
+  match an end-of-tick poll, and serving writes metric samples on
+  lifecycle events only (pass totals are folded at pass end, live
+  values collected when the registry is read).
 * **Surfaces** — the proto/v1 ``stats`` frame carries the registry
   snapshot; ``repro obs dump`` summarizes both export kinds; a
   default run logs nothing to stderr (NullHandler contract).
@@ -23,9 +27,13 @@ import json
 import pytest
 
 from repro.bench.runner import _schedule_fingerprint
+from repro.cluster.chaos import ChaosController, generate_schedule
+from repro.cluster.qos import tiers_policy
 from repro.cluster.scheduler import (
     QueryScheduler,
     SchedulerConfig,
+    ServingLoop,
+    TenantSpec,
     tenant_specs,
 )
 from repro.obs import (
@@ -46,6 +54,86 @@ def serve_fleet(obs=None, tenants=3, rows=60):
     config = SchedulerConfig(obs=obs, **SERVE)
     specs = tenant_specs(tenants, rows=rows, seed=SERVE["seed"])
     return QueryScheduler(config).serve(specs)
+
+
+#: Serving configurations whose exports must account for every pass:
+#: name -> (SchedulerConfig knobs, tenant specs, chaos schedule knobs).
+#: 24-row lossless passes take one tick each, so a whole pass starts
+#: and ends between two end-of-tick reads.
+ACCOUNTED = {
+    "lossless-24": (
+        dict(slots=2, shards=2, seed=1),
+        tenant_specs(6, rows=24, seed=1, mix=("distinct",)),
+        None),
+    "lossy": (
+        dict(slots=4, loss_rate=0.05, reorder_window=2, shards=2,
+             seed=0),
+        tenant_specs(8, rows=240, seed=0),
+        None),
+    "aimd-tiers-preempt": (
+        dict(slots=3, loss_rate=0.02, reorder_window=1, seed=5,
+             policy=tiers_policy(), congestion="aimd",
+             queue_capacity=4),
+        [TenantSpec("b0", "groupby_sum", rows=300, seed=1,
+                    priority="batch"),
+         TenantSpec("b1", "skyline", rows=300, seed=2,
+                    priority="batch"),
+         TenantSpec("i0", "distinct", rows=60, seed=3, arrival_tick=10,
+                    priority="interactive"),
+         TenantSpec("i1", "filter", rows=60, seed=4, arrival_tick=14,
+                    priority="interactive")],
+        None),
+    "chaos": (
+        dict(slots=3, loss_rate=0.02, shards=3, seed=1),
+        tenant_specs(3, rows=60, seed=1, mix=("distinct",)),
+        dict(seed=1, kills=2, shards=3, workers=4, horizon=20)),
+}
+
+
+def serve_accounted(name, obs):
+    knobs, specs, chaos = ACCOUNTED[name]
+    controller = (ChaosController(generate_schedule(**chaos))
+                  if chaos is not None else None)
+    return QueryScheduler(SchedulerConfig(obs=obs, **knobs)).serve(
+        specs, chaos=controller)
+
+
+def tenant_totals(snapshot, tenant):
+    """The exported per-tenant counters, channels summed."""
+
+    def total(name):
+        return sum(sample["value"] for sample in snapshot[name]["samples"]
+                   if sample["labels"]["tenant"] == tenant)
+
+    return {
+        "offers": total(names.SWITCH_OFFERS),
+        "prunes": total(names.SWITCH_PRUNES),
+        "retransmissions": total(names.TRANSPORT_RETRANSMISSIONS),
+        "sent": total(names.CHANNEL_SENT),
+        "drops": total(names.CHANNEL_DROPS),
+    }
+
+
+def pass_totals(passes):
+    """The same counters summed over a tenant's ``PassStats``."""
+    return {
+        "offers": sum(p.switch_pruned + p.switch_forwarded
+                      for p in passes),
+        "prunes": sum(p.switch_pruned for p in passes),
+        "retransmissions": sum(p.retransmissions for p in passes),
+        "sent": sum(p.packets_sent for p in passes),
+        "drops": sum(p.packets_dropped for p in passes),
+    }
+
+
+def live_totals(run):
+    """What an end-of-tick poll publishes for an in-service tenant:
+    its finished passes plus the in-flight one."""
+    totals = pass_totals(run.passes)
+    if run.current is not None:
+        for key, value in pass_totals([run.current.stats()]).items():
+            totals[key] += value
+    return totals
 
 
 class TestRegistry:
@@ -140,6 +228,138 @@ class TestDeterminism:
                      names.TRANSPORT_RETRANSMISSIONS,
                      names.SWITCH_PRUNES, names.CHAOS_MIGRATIONS):
             assert f"# TYPE {name} " in text
+
+
+class TestCollectOnRead:
+    """Pass totals are pushed when a pass ends; everything that moves
+    every tick is computed when the registry is read."""
+
+    @pytest.mark.parametrize("name", sorted(ACCOUNTED))
+    def test_every_pass_is_exported(self, name):
+        obs = Observability(spans=True)
+        report = serve_accounted(name, obs)
+        assert report.all_equivalent is True
+        if name == "aimd-tiers-preempt":
+            assert report.preemption_count >= 1
+        if name == "chaos":
+            assert obs.chaos_events.samples()
+        snapshot = obs.registry.snapshot()
+        for tenant in report.tenants:
+            assert tenant.passes
+            assert tenant_totals(snapshot, tenant.spec.tenant) == \
+                pass_totals(tenant.passes), tenant.spec.tenant
+        passes = [e for e in obs.tracer.to_chrome_trace()["traceEvents"]
+                  if e["name"].startswith(names.SPAN_PASS_PREFIX)]
+        assert len(passes) == sum(len(t.passes) for t in report.tenants)
+        # A pass span runs from the tick its transfer began; under
+        # uniform DRR weights (fifo) every tenant steps every tick, so
+        # the span lasts exactly the pass's tick count.
+        for span in passes:
+            assert span["dur"] >= span["args"]["ticks"], span
+            if report.policy == "fifo":
+                assert span["dur"] == span["args"]["ticks"], span
+
+    def test_final_scheduler_gauges_show_the_drained_loop(self):
+        obs = Observability()
+        report = serve_fleet(obs)
+        snapshot = obs.registry.snapshot()
+
+        def gauge(name):
+            (sample,) = snapshot[name]["samples"]
+            return sample["value"]
+
+        assert gauge(names.SCHED_TICK) == report.ticks
+        for name in (names.SCHED_ACTIVE, names.SCHED_OCCUPANCY,
+                     names.SCHED_QUEUE_DEPTH, names.SCHED_SUSPENDED):
+            assert gauge(name) == 0, name
+
+    def test_reads_mid_session_carry_live_counters(self):
+        """What a ``stats`` frame snapshots between ticks equals what
+        an end-of-tick poll of every in-service tenant would have
+        published."""
+        obs = Observability()
+        knobs, specs, _ = ACCOUNTED["lossy"]
+        loop = ServingLoop(SchedulerConfig(obs=obs, **knobs))
+        for spec in specs:
+            loop.submit(spec)
+        checked = 0
+        while loop.has_work:
+            loop.run_tick()
+            if loop.tick % 37:
+                continue
+            snapshot = obs.registry.snapshot()
+            for run in loop.active + loop.suspended:
+                assert tenant_totals(snapshot, run.spec.tenant) == \
+                    live_totals(run)
+                checked += 1
+            (active,) = snapshot[names.SCHED_ACTIVE]["samples"]
+            assert active["value"] == len(loop.active)
+        assert checked > 8
+
+    def test_state_is_bounded_by_tenants_in_service(self):
+        obs = Observability()
+        loop = ServingLoop(SchedulerConfig(slots=4, seed=0, obs=obs))
+        for spec in tenant_specs(50, rows=24, seed=0):
+            loop.submit(spec)
+        while loop.has_work:
+            loop.run_tick()
+            assert len(obs._state) <= 4
+        assert len(loop.finished) == 50
+        assert not obs._state
+
+    def test_failed_tenant_is_retired(self, monkeypatch):
+        """A tenant whose next pass cannot install fails mid-run: its
+        finished passes stay exported, its state is dropped, and its
+        service span ends at the failure."""
+        from repro.cluster import scheduler
+        from repro.switch.resources import ResourceExhausted
+
+        advance = scheduler._TenantRun.advance
+
+        def advance_or_fail(run):
+            if run.spec.tenant == "tenant-1":
+                raise ResourceExhausted("no room for the next pass")
+            return advance(run)
+
+        monkeypatch.setattr(scheduler._TenantRun, "advance",
+                            advance_or_fail)
+        obs = Observability(spans=True)
+        report = serve_fleet(obs)
+        (failed,) = [t for t in report.tenants if t.status == "failed"]
+        assert failed.passes and not obs._state
+        assert tenant_totals(obs.registry.snapshot(), "tenant-1") == \
+            pass_totals(failed.passes)
+        (service,) = [e for e in obs.tracer.to_chrome_trace()["traceEvents"]
+                      if e["name"] == names.SPAN_SERVICE
+                      and e["args"]["tenant"] == "tenant-1"]
+        assert service["args"]["failed"] is True
+        assert service["ts"] + service["dur"] == failed.completed_tick
+
+    def test_serving_ticks_write_at_most_one_sample_per_stepped_run(
+            self, monkeypatch):
+        """The serving loop's per-tick hooks do integer bookkeeping;
+        metric samples are written on lifecycle events and reads."""
+        from repro.obs import metrics
+
+        writes = []
+        key = metrics._Metric._key
+
+        def counted(metric, labels):
+            writes.append(metric.name)
+            return key(metric, labels)
+
+        knobs, specs, _ = ACCOUNTED["lossy"]
+        loop = ServingLoop(SchedulerConfig(obs=Observability(), **knobs))
+        for spec in specs:
+            loop.submit(spec)
+        monkeypatch.setattr(metrics._Metric, "_key", counted)
+        while loop.has_work:
+            loop.run_tick()
+        monkeypatch.undo()
+        stepped = sum(sample.serviced for sample
+                      in loop.report(check=False).telemetry.samples)
+        assert stepped > 2000
+        assert 0 < len(writes) <= stepped
 
 
 class TestSpanSchema:

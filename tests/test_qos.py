@@ -19,6 +19,8 @@ The acceptance invariants of the QoS subsystem:
 
 import json
 import pathlib
+import re
+import shlex
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -671,6 +673,23 @@ class TestRecordTrace:
         replay_out = capsys.readouterr().out
         assert code == 0
         assert replay_out.count("IDENTICAL to QueryPlan.run") == 3
+        # Under AIMD the congestion knobs must ride the announced
+        # command too: replaying it reproduces the served makespan.
+        aimd = tmp_path / "aimd.jsonl"
+        code = main(["serve", "--tenants", "3", "--rows", "60",
+                     "--congestion", "aimd", "--queue-capacity", "2",
+                     "--record-trace", str(aimd)])
+        stdout = capsys.readouterr().out
+        assert code == 0
+        announced = re.search(r"replay with: repro (.*)\)$", stdout,
+                              re.MULTILINE).group(1)
+        assert "--congestion aimd --queue-capacity 2" in announced
+        assert main(shlex.split(announced)) == 0
+        replay_out = capsys.readouterr().out
+        served, replayed = (
+            re.search(r"makespan\s*: (\d+) ticks", text).group(1)
+            for text in (stdout, replay_out))
+        assert replayed == served == "120"
 
     def test_cli_replay_rejects_priorities_with_trace_file(self, capsys):
         from repro.cli import main
