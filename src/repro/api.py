@@ -198,11 +198,8 @@ class Session:
         self._core = ServingLoop(self.config.scheduler_config())
         self._check = check
         self._results: List[QueryResult] = []
-        self._last_stamp = 0
         self._auto = 0
         self._wall = 0.0
-        #: Submitted specs with final stamps, in submission order.
-        self.submitted_specs: List[TenantSpec] = []
 
     def submit(self, scenario: str, *, tenant: Optional[str] = None,
                rows: int = 240, seed: int = 0,
@@ -218,14 +215,11 @@ class Session:
         if tenant is None:
             tenant = f"q{self._auto}"
             self._auto += 1
-        stamp = max(arrival_tick if arrival_tick is not None else 0,
-                    self._core.arrival_floor, self._last_stamp)
-        spec = TenantSpec(tenant=tenant, scenario=scenario, rows=rows,
-                          seed=seed, arrival_tick=stamp,
-                          priority=priority, slots=slots)
-        self._core.submit(spec)
-        self._last_stamp = stamp
-        self.submitted_specs.append(spec)
+        stamp = self._core.stamp(arrival_tick or 0)
+        self._core.submit(TenantSpec(tenant=tenant, scenario=scenario,
+                                     rows=rows, seed=seed,
+                                     arrival_tick=stamp,
+                                     priority=priority, slots=slots))
         return tenant
 
     def run(self) -> List[QueryResult]:
@@ -263,15 +257,14 @@ class Session:
         return self._core.report(check=self._check,
                                  wall_seconds=self._wall)
 
-    def write_trace(self, path: str) -> None:
-        """Record the session as a replayable v2 arrival trace."""
+    def write_trace(self, path: str):
+        """Record the session as a replayable arrival trace; returns
+        the trace."""
         from repro.workloads.traces import trace_from_specs
 
-        trace = trace_from_specs(self.submitted_specs,
-                                 seed=self.config.seed,
-                                 loss_rate=self.config.loss,
-                                 shards=self.config.shards)
+        trace = trace_from_specs(self._core.submitted, self._core.config)
         trace.save(path)
+        return trace
 
 
 def submit(scenario: str, *, config: Optional[ServeConfig] = None,

@@ -603,18 +603,6 @@ def fig10f_having(stream_length: int = 120_000, groups: int = 5_000,
     )
 
 
-def fig10_all(seed: int = 0) -> List[ExperimentResult]:
-    """All six Figure 10 panels."""
-    return [
-        fig10a_distinct(seed=seed),
-        fig10b_skyline(seed=seed),
-        fig10c_topn(seed=seed),
-        fig10d_groupby(seed=seed),
-        fig10e_join(seed=seed),
-        fig10f_having(seed=seed),
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Figure 11: pruning rate vs data scale
 # ---------------------------------------------------------------------------

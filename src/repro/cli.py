@@ -345,11 +345,8 @@ def _serve_socket(args, config, policy, chaos=None) -> int:
         return 130
     report = server.report()
     if args.record_trace:
-        server.write_trace(args.record_trace)
-        from repro.workloads.traces import load_trace
-
-        _announce_trace(args, config, args.record_trace,
-                        load_trace(args.record_trace).version)
+        trace = server.write_trace(args.record_trace)
+        _announce_trace(args, config, args.record_trace, trace.version)
     ok = _print_tenant_outcomes(
         report, lambda t: f"wait={t.wait_ticks:<5d} "
                           f"service={t.service_ticks:<6d}")
@@ -410,9 +407,7 @@ def _serve(args) -> int:
     if args.record_trace:
         from repro.workloads.traces import trace_from_specs
 
-        trace = trace_from_specs(specs, seed=args.seed,
-                                 loss_rate=args.loss,
-                                 shards=args.shards)
+        trace = trace_from_specs(specs, config)
         trace.save(args.record_trace)
         _announce_trace(args, config, args.record_trace, trace.version)
     print(f"== serve: {args.tenants} tenants, {config.slots} slots, "
@@ -645,27 +640,7 @@ def _chaos(args) -> int:
           f"{config.slots} slots, shards={config.shards}, "
           f"loss={args.loss}, {len(schedule.events)} scheduled "
           f"events ==")
-    for record in controller.applied:
-        effect = {
-            "kill_shard": lambda r: f"{r['migrated_queries']} queries "
-                                    "migrated to survivors",
-            "restart": lambda r: f"{r['restored_queries']} queries "
-                                 "restored"
-                                 + (f" after {r['recovery_ticks']} "
-                                    "ticks down"
-                                    if "recovery_ticks" in r else ""),
-            "kill_worker": lambda r: f"{r['replayed_packets']} unacked "
-                                     "packets replayed by survivors",
-            "degrade_channel": lambda r: f"loss={r['loss_rate']} on "
-                                         f"{r['tenants_degraded']} "
-                                         "tenants",
-        }[record["event"]](record)
-        target = record.get("shard", record.get("worker", ""))
-        print(f"  tick {record['applied_tick']:<4d} "
-              f"{record['event']} {target}: {effect}")
-    if controller.pending:
-        print(f"  ({controller.pending} scheduled events never came "
-              "due: run finished first)")
+    _print_chaos_timeline(controller.applied, controller.pending)
     ok = _print_tenant_outcomes(
         report, lambda t: f"wait={t.wait_ticks:<5d} "
                           f"service={t.service_ticks:<6d}")
@@ -778,18 +753,24 @@ _CHAOS_EFFECTS = {
 }
 
 
-def _summarize_chaos(payload) -> None:
-    print(f"chaos bench: {payload['tenants']} tenants, "
-          f"{payload['slots']} slots, shards={payload['shards']}, "
-          f"loss={payload['loss_rate']}, {payload['kills']} kills")
-    for record in payload["timeline"]:
+def _print_chaos_timeline(timeline, pending: int) -> None:
+    """One line per applied chaos event (``repro chaos`` and
+    ``repro bench chaos``)."""
+    for record in timeline:
         effect = _CHAOS_EFFECTS[record["event"]](record)
         target = record.get("shard", record.get("worker", ""))
         print(f"  tick {record['applied_tick']:<4d} "
               f"{record['event']} {target}: {effect}")
-    if payload["events_pending"]:
-        print(f"  ({payload['events_pending']} scheduled events "
-              "never came due: run finished first)")
+    if pending:
+        print(f"  ({pending} scheduled events never came due: run "
+              "finished first)")
+
+
+def _summarize_chaos(payload) -> None:
+    print(f"chaos bench: {payload['tenants']} tenants, "
+          f"{payload['slots']} slots, shards={payload['shards']}, "
+          f"loss={payload['loss_rate']}, {payload['kills']} kills")
+    _print_chaos_timeline(payload["timeline"], payload["events_pending"])
     print(f"  baseline: {payload['baseline']['ticks']} ticks "
           f"p99={payload['baseline']['latency']['p99_ticks']} | "
           f"chaos: {payload['chaos']['ticks']} ticks "

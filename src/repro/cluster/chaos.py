@@ -5,11 +5,12 @@ implies for fault tolerance — checkpointed ``suspend_query`` /
 ``resume_query``, sharded switch frontends, the reliability protocol
 over lossy channels — and this module is the harness that actually
 kills things.  Failures come from a seeded, *replayable*
-:class:`FailureSchedule` (versioned JSON lines, the same discipline as
-``repro.workloads.traces``), so every chaos run is a deterministic
-regression test rather than a flake generator (the FATE/DESTINI
-fault-injection-as-testing discipline).  The format and the migration
-state machine are specified normatively in ``docs/CHAOS.md``.
+:class:`FailureSchedule` (versioned JSON lines, framed by the same
+``repro.workloads.records`` codec as arrival traces), so every chaos
+run is a deterministic regression test rather than a flake generator
+(the FATE/DESTINI fault-injection-as-testing discipline).  The format
+and the migration state machine are specified normatively in
+``docs/CHAOS.md``.
 
 Format summary (one JSON object per line):
 
@@ -53,10 +54,11 @@ ValueError: <schedule>:1: unsupported schedule version 99 (this parser reads ver
 from __future__ import annotations
 
 import dataclasses
-import json
 import logging
 import random
 from typing import Dict, List, Optional
+
+from repro.workloads import records
 
 logger = logging.getLogger(__name__)
 
@@ -163,61 +165,25 @@ class FailureSchedule:
 
     def to_jsonl(self) -> str:
         """The schedule serialized as JSON lines (header first)."""
-        lines = [json.dumps(self.header(), sort_keys=True)]
-        lines += [json.dumps(e.to_record(), sort_keys=True)
-                  for e in self.events]
-        return "\n".join(lines) + "\n"
+        return records.dump(self.header(),
+                            (e.to_record() for e in self.events))
 
     def save(self, path: str) -> str:
         """Write the schedule to ``path`` and return it."""
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(self.to_jsonl())
-        return path
-
-
-def _fail(source: str, line_no: int, message: str) -> None:
-    raise ValueError(f"{source}:{line_no}: {message}")
-
-
-def _require_int(record: Dict, key: str, source: str, line_no: int,
-                 minimum: int, default: Optional[int] = None) -> int:
-    value = record.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool):
-        _fail(source, line_no, f"{key!r} must be an integer, "
-                               f"got {value!r}")
-    if value < minimum:
-        _fail(source, line_no, f"{key!r} must be >= {minimum}, "
-                               f"got {value}")
-    return value
+        return records.save(path, self.to_jsonl())
 
 
 def _parse_header(record: Dict, source: str, line_no: int):
-    if record.get("kind") != CHAOS_KIND:
-        _fail(source, line_no,
-              f"first line must be the schedule header with "
-              f"\"kind\": \"{CHAOS_KIND}\", got kind={record.get('kind')!r}")
-    version = record.get("version")
-    if not isinstance(version, int) or isinstance(version, bool):
-        _fail(source, line_no, f"\"version\" must be an integer, "
-                               f"got {version!r}")
-    if version not in SUPPORTED_VERSIONS:
-        _fail(source, line_no,
-              f"unsupported schedule version {version} (this parser "
-              f"reads version {SUPPORTED_VERSIONS[-1]})")
-    unknown = sorted(set(record) - _HEADER_KEYS)
-    if unknown:
-        _fail(source, line_no,
-              f"unknown header field(s): {', '.join(unknown)}")
-    seed = _require_int(record, "seed", source, line_no, minimum=0,
-                        default=0)
+    seed = records.require_int(record, "seed", source, line_no, minimum=0,
+                               default=0)
     shards = record.get("shards")
     if shards is not None:
-        shards = _require_int(record, "shards", source, line_no,
-                              minimum=1)
+        shards = records.require_int(record, "shards", source, line_no,
+                                     minimum=1)
     workers = record.get("workers")
     if workers is not None:
-        workers = _require_int(record, "workers", source, line_no,
-                               minimum=1)
+        workers = records.require_int(record, "workers", source, line_no,
+                                      minimum=1)
     return seed, shards, workers
 
 
@@ -225,55 +191,52 @@ def _parse_event(record: Dict, source: str, line_no: int,
                  last_tick: int, dead: set) -> FailureEvent:
     unknown = sorted(set(record) - _EVENT_KEYS)
     if unknown:
-        _fail(source, line_no,
-              f"unknown event field(s): {', '.join(unknown)}")
+        records.fail(source, line_no,
+                     f"unknown event field(s): {', '.join(unknown)}")
     kind = record.get("event")
     if kind not in EVENT_OPERANDS:
-        _fail(source, line_no,
-              f"unknown event kind {kind!r} (expected one of: "
-              f"{', '.join(sorted(EVENT_OPERANDS))})")
-    tick = _require_int(record, "tick", source, line_no, minimum=0)
+        records.fail(source, line_no,
+                     f"unknown event kind {kind!r} (expected one of: "
+                     f"{', '.join(sorted(EVENT_OPERANDS))})")
+    tick = records.require_int(record, "tick", source, line_no, minimum=0)
     if tick < last_tick:
-        _fail(source, line_no,
-              f"event ticks must be non-decreasing: {tick} after "
-              f"{last_tick} (sort the schedule by tick)")
+        records.fail(source, line_no,
+                     f"event ticks must be non-decreasing: {tick} after "
+                     f"{last_tick} (sort the schedule by tick)")
     operand = EVENT_OPERANDS[kind]
     extra = sorted((set(record) & {"shard", "worker", "loss_rate"})
                    - {operand})
     if extra:
-        _fail(source, line_no,
-              f"{', '.join(repr(f) for f in extra)} "
-              f"{'is not a field' if len(extra) == 1 else 'are not fields'}"
-              f" of {kind!r} events (which take {operand!r})")
+        records.fail(
+            source, line_no,
+            f"{', '.join(repr(f) for f in extra)} "
+            f"{'is not a field' if len(extra) == 1 else 'are not fields'}"
+            f" of {kind!r} events (which take {operand!r})")
     if operand not in record:
-        _fail(source, line_no,
-              f"{kind!r} events need a {operand!r} field")
+        records.fail(source, line_no,
+                     f"{kind!r} events need a {operand!r} field")
     shard = worker = loss_rate = None
     if operand == "shard":
-        shard = _require_int(record, "shard", source, line_no, minimum=0)
+        shard = records.require_int(record, "shard", source, line_no,
+                                    minimum=0)
         if kind == "kill_shard":
             if shard in dead:
-                _fail(source, line_no,
-                      f"shard {shard} is already dead here (restart it "
-                      "before killing it again)")
+                records.fail(source, line_no,
+                             f"shard {shard} is already dead here (restart "
+                             "it before killing it again)")
             dead.add(shard)
         else:  # restart
             if shard not in dead:
-                _fail(source, line_no,
-                      f"shard {shard} is not dead here (restart must "
-                      "follow its kill_shard)")
+                records.fail(source, line_no,
+                             f"shard {shard} is not dead here (restart "
+                             "must follow its kill_shard)")
             dead.discard(shard)
     elif operand == "worker":
-        worker = _require_int(record, "worker", source, line_no,
-                              minimum=0)
+        worker = records.require_int(record, "worker", source, line_no,
+                                     minimum=0)
     else:
-        loss_rate = record.get("loss_rate")
-        if not isinstance(loss_rate, (int, float)) \
-                or isinstance(loss_rate, bool) \
-                or not 0.0 <= loss_rate < 1.0:
-            _fail(source, line_no, f"\"loss_rate\" must be a number in "
-                                   f"[0, 1), got {loss_rate!r}")
-        loss_rate = float(loss_rate)
+        loss_rate = records.require_rate(record, "loss_rate", source,
+                                         line_no)
     return FailureEvent(tick=tick, event=kind, shard=shard,
                         worker=worker, loss_rate=loss_rate)
 
@@ -282,48 +245,32 @@ def parse_schedule(text: str,
                    source: str = "<schedule>") -> FailureSchedule:
     """Parse and validate JSON-lines failure schedule ``text``.
 
-    Every diagnostic is a :class:`ValueError` whose message starts with
-    ``source:line`` so a bad line is directly addressable.  Blank lines
-    are permitted (and keep their line numbers); the header must be the
-    first non-blank line.  Cross-event consistency is checked too:
-    killing an already-dead shard, or restarting a shard that was never
-    killed, is a format error.
+    The framing (``source:line`` diagnostics, blank lines, the header's
+    kind/version checks) is :func:`repro.workloads.records.read`'s;
+    this adds the event field rules and cross-event consistency:
+    non-decreasing ticks, and killing an already-dead shard or
+    restarting a shard that was never killed is a format error.
     """
-    header = None
+    lines = records.read(text, source, noun="schedule", kind=CHAOS_KIND,
+                         versions=SUPPORTED_VERSIONS,
+                         header_keys=_HEADER_KEYS)
+    line_no, header = next(lines)
+    seed, shards, workers = _parse_header(header, source, line_no)
     events: List[FailureEvent] = []
     last_tick = 0
     dead: set = set()
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as error:
-            _fail(source, line_no, f"malformed JSON ({error.msg} at "
-                                   f"column {error.colno})")
-        if not isinstance(record, dict):
-            _fail(source, line_no, "every schedule line must be a JSON "
-                                   f"object, got {type(record).__name__}")
-        if header is None:
-            header = _parse_header(record, source, line_no)
-            continue
+    for line_no, record in lines:
         event = _parse_event(record, source, line_no,
                              last_tick=last_tick, dead=dead)
         last_tick = event.tick
         events.append(event)
-    if header is None:
-        _fail(source, 1, "empty schedule: expected a header line "
-                         f"({{\"kind\": \"{CHAOS_KIND}\", \"version\": "
-                         f"{CHAOS_VERSION}}})")
-    seed, shards, workers = header
     return FailureSchedule(events=tuple(events), seed=seed,
                            shards=shards, workers=workers)
 
 
 def load_schedule(path: str) -> FailureSchedule:
     """Read and validate the JSON-lines failure schedule at ``path``."""
-    with open(path, encoding="utf-8") as f:
-        return parse_schedule(f.read(), source=path)
+    return records.load(path, parse_schedule)
 
 
 def generate_schedule(seed: int = 0, kills: int = 1, *,

@@ -250,6 +250,14 @@ def make_sharded(factory: Callable[[], object], shards: int,
                          key_fn=shard_key_fn(query_type), seed=seed)
 
 
+def _add_stats(totals: List[PruneStats],
+               per_shard: Sequence[PruneStats]) -> None:
+    """Add ``per_shard`` counters into ``totals``, shard by shard."""
+    for total, stats in zip(totals, per_shard):
+        total.offered += stats.offered
+        total.pruned += stats.pruned
+
+
 class ShardedSwitchFrontend:
     """K simulated switch pipelines behind one control-plane facade.
 
@@ -294,6 +302,12 @@ class ShardedSwitchFrontend:
         self._refugees: Dict[int, Dict[int, tuple]] = {}
         #: Queries migrated off dead pipelines (cumulative, telemetry).
         self.migrations = 0
+        #: fid -> sharded pruner view of every query installed and not
+        #: yet uninstalled (suspended ones included), and the per-shard
+        #: prune totals of the uninstalled ones: together they make
+        #: :meth:`per_shard_stats` cumulative, each query counted once.
+        self._views: Dict[int, ShardedPruner] = {}
+        self._retired = [PruneStats() for _ in range(shards)]
 
     def install_query(self, spec: QuerySpec,
                       fid: Optional[int] = None) -> RuleInstallation:
@@ -316,6 +330,7 @@ class ShardedSwitchFrontend:
             install_seconds=max(i.install_seconds for i in installs),
         )
         self._installed[first.fid] = installation
+        self._views[first.fid] = view
         # A pipeline that is currently dead cannot accept the push: the
         # controller compiles its copy (so the logical shard's pruner
         # exists behind the merged view) and parks it with a survivor
@@ -336,6 +351,9 @@ class ShardedSwitchFrontend:
             else:
                 plane.uninstall_query(fid)
         self._installed.pop(fid, None)
+        view = self._views.pop(fid, None)
+        if view is not None:
+            _add_stats(self._retired, view.per_shard_stats())
 
     def suspend_query(self, fid: int) -> Optional["ShardedQueryCheckpoint"]:
         """Checkpoint a live query on every shard (QoS preemption).
@@ -481,14 +499,11 @@ class ShardedSwitchFrontend:
         return list(self._installed.values())
 
     def per_shard_stats(self) -> List[PruneStats]:
-        """Prune statistics per switch, merged over installed queries."""
-        totals = [PruneStats() for _ in range(self.shards)]
-        for installation in self._installed.values():
-            for total, stats in zip(
-                    totals,
-                    installation.compiled.pruner.per_shard_stats()):
-                total.offered += stats.offered
-                total.pruned += stats.pruned
+        """Prune statistics per switch, summed over every query this
+        frontend has served: installed, suspended and uninstalled."""
+        totals = [dataclasses.replace(stats) for stats in self._retired]
+        for view in self._views.values():
+            _add_stats(totals, view.per_shard_stats())
         return totals
 
 

@@ -97,41 +97,12 @@ from repro.switch.resources import (
     SwitchModel,
     TOFINO_MODEL,
 )
-from repro.workloads.traces import DEFAULT_MIX
+from repro.workloads.traces import DEFAULT_MIX, TenantSpec
 
 logger = logging.getLogger(__name__)
 
 #: Seed stride between tenants, decorrelating their channel RNG draws.
 _TENANT_SEED_STRIDE = 1009
-
-@dataclasses.dataclass(frozen=True)
-class TenantSpec:
-    """One tenant's request: a named scenario plus arrival time.
-
-    ``priority`` names a class of the serving policy
-    (:class:`~repro.cluster.qos.QosPolicy`; ``None`` = the policy's
-    default class) and ``slots`` is the tenant's serving-slot ask —
-    both also ride in version-2 arrival traces (``docs/TRACES.md``).
-    """
-
-    tenant: str
-    scenario: str
-    rows: int = 240
-    seed: int = 0
-    #: Global scheduler tick at which the tenant shows up (0 = start).
-    arrival_tick: int = 0
-    #: QoS class hint (a policy class name; None = policy default).
-    priority: Optional[str] = None
-    #: Serving slots this tenant occupies while admitted.
-    slots: int = 1
-
-    def __post_init__(self) -> None:
-        if self.arrival_tick < 0:
-            raise ValueError(
-                f"arrival_tick must be >= 0, got {self.arrival_tick}"
-            )
-        if self.slots < 1:
-            raise ValueError(f"slots must be >= 1, got {self.slots}")
 
 
 @dataclasses.dataclass
@@ -889,6 +860,11 @@ class ServingLoop:
         self._queue_at: Dict[int, tuple] = {}
         self._next_index = 0
         self._names: set = set()
+        #: The admission log: every accepted spec, in submission order
+        #: — what :func:`~repro.workloads.traces.trace_from_specs`
+        #: records as a replayable trace of this session.
+        self.submitted: List[TenantSpec] = []
+        self._last_stamp = 0
         # Tick of the most recently executed admission phase (-1 =
         # none yet, so arrivals at tick 0 are still admissible).
         self._phase_tick = -1
@@ -906,10 +882,19 @@ class ServingLoop:
 
         Every admission phase at or before :attr:`_phase_tick` has
         already run without seeing the submission, so stamping below
-        the floor would admit it earlier under replay.  The socket
-        server stamps live arrivals with exactly this floor (or the
-        client's future hint, whichever is later)."""
+        the floor would admit it earlier under replay; :meth:`stamp`
+        never goes below it."""
         return self._phase_tick + 1
+
+    def stamp(self, requested: int) -> int:
+        """The arrival tick a live submission asking for ``requested``
+        gets: never before :attr:`arrival_floor`, never before an
+        earlier submission's arrival.  Stamps are therefore monotone
+        in submission order, so a recorded trace's stable
+        sort-by-arrival keeps submission order — tenant indices (and
+        hence per-tenant seeds and flow-id ranges) match under
+        replay."""
+        return max(requested, self.arrival_floor, self._last_stamp)
 
     def submit(self, spec: TenantSpec) -> _TenantRun:
         """Enqueue one tenant (dataset built now, before its ticks).
@@ -936,6 +921,8 @@ class ServingLoop:
         run.prepare()
         self._next_index += 1
         self._names.add(spec.tenant)
+        self.submitted.append(spec)
+        self._last_stamp = max(self._last_stamp, spec.arrival_tick)
         # Keep pending sorted by (arrival_tick, index); submissions
         # carry monotone indices, so bisect on arrival alone is stable.
         at = bisect.bisect_right(
@@ -1309,8 +1296,7 @@ def replay_trace(trace, config: Optional[SchedulerConfig] = None,
             overrides["shards"] = trace.shards
         if overrides:
             config = dataclasses.replace(config, **overrides)
-    specs = trace.tenant_specs()
-    if not specs:
+    if not trace.queries:
         return ScheduleReport(
             tenants=[], ticks=0, wall_seconds=0.0, slots=config.slots,
             shards=config.shards, loss_rate=config.loss_rate,
@@ -1318,4 +1304,5 @@ def replay_trace(trace, config: Optional[SchedulerConfig] = None,
             telemetry=SchedulerTelemetry(slots=config.slots),
             policy=config.policy.name,
         )
-    return QueryScheduler(config).serve(specs, check=check, chaos=chaos)
+    return QueryScheduler(config).serve(trace.queries, check=check,
+                                        chaos=chaos)

@@ -142,13 +142,3 @@ def register_algorithm(cls: Type[PruningAlgorithm]) -> Type[PruningAlgorithm]:
         raise ValueError(f"{cls.__name__} must define a non-default 'name'")
     ALGORITHM_REGISTRY[cls.name] = cls
     return cls
-
-
-def summary_table() -> list:
-    """Rows of Table 4: (name, guarantee, parameters-docstring)."""
-    rows = []
-    for name in sorted(ALGORITHM_REGISTRY):
-        cls = ALGORITHM_REGISTRY[name]
-        rows.append((name, cls.guarantee.value,
-                     (cls.__doc__ or "").strip().splitlines()[0]))
-    return rows

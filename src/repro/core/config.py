@@ -139,20 +139,6 @@ def feasible_topn_config(n: int, delta: float,
     return TopNConfig(rows=rows, width=width, n=n, delta=delta)
 
 
-def distinct_config_for_memory(memory_words: int,
-                               width: int = 2) -> tuple:
-    """Split a memory budget into (d, w) for the DISTINCT matrix.
-
-    The paper's default is w=2 with d as large as memory allows
-    (Fig. 10a): row count buys more pruning than width once w >= 2.
-    """
-    if memory_words < width:
-        raise InfeasibleConfiguration(
-            f"memory ({memory_words} words) below one row of width {width}"
-        )
-    return memory_words // width, width
-
-
 def _check_common(rows: int, n: int, delta: float) -> None:
     if rows < 1:
         raise ValueError(f"rows must be positive, got {rows}")

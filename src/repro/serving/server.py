@@ -11,15 +11,16 @@ One event loop hosts two kinds of tasks:
   never touch the scheduler, so the tick domain is single-writer by
   construction even with hundreds of concurrent connections.
 
-Determinism across the socket boundary comes from the stamping rule:
-a live submission is assigned ``max(requested, arrival_floor,
-previous stamp)``, where ``arrival_floor`` is the first tick whose
-admission phase has not executed yet.  Stamps are therefore monotone
-in submission order, which makes the recorded trace's stable
-sort-by-arrival preserve submission order — tenant indices, and hence
-per-tenant seeds and flow-id ranges, match between the live session
-and its ``repro replay``, and the replayed
-``ScheduleReport.to_payload()`` is byte-identical to the live one.
+Determinism across the socket boundary comes from the stamping rule
+(:meth:`ServingLoop.stamp`): a live submission is assigned
+``max(requested, arrival_floor, last accepted stamp)``, where
+``arrival_floor`` is the first tick whose admission phase has not
+executed yet.  Stamps are therefore monotone in submission order,
+which makes the recorded trace's stable sort-by-arrival preserve
+submission order — tenant indices, and hence per-tenant seeds and
+flow-id ranges, match between the live session and its ``repro
+replay``, and the replayed ``ScheduleReport.to_payload()`` is
+byte-identical to the live one.
 
 ``hold`` batches the first N submissions before any of them is
 admitted (sorted by ``(arrival_tick, tenant)``), collapsing socket
@@ -115,10 +116,6 @@ class ReproServer:
         self.check = check
         self.hold = hold
         self.max_queries = max_queries
-        #: Admitted specs with their final arrival stamps, in index
-        #: order — exactly what ``trace_from_specs`` needs to write a
-        #: replayable capture of this session.
-        self.admitted_specs: List[TenantSpec] = []
         #: Optional fault injector (``repro serve --schedule``): due
         #: failure events fire inside the reactor's ticks, so socket
         #: sessions survive shard kills exactly like in-process runs.
@@ -139,7 +136,6 @@ class ReproServer:
         self._wake = asyncio.Event()
         self._finished = asyncio.Event()
         self._stopping = False
-        self._last_stamp = 0
         self._results_sent = 0
         self._next_conn = 0
         self._anon = 0
@@ -208,14 +204,14 @@ class ReproServer:
         return self._core.report(check=effective,
                                  wall_seconds=self._wall_seconds)
 
-    def write_trace(self, path) -> None:
-        """Record this session as a version-2 arrival trace that
-        ``repro replay`` reproduces byte-identically."""
+    def write_trace(self, path):
+        """Record this session as an arrival trace that ``repro
+        replay`` reproduces byte-identically; returns the trace."""
         from repro.workloads.traces import trace_from_specs
-        trace = trace_from_specs(
-            self.admitted_specs, seed=self.config.seed,
-            loss_rate=self.config.loss_rate, shards=self.config.shards)
+
+        trace = trace_from_specs(self._core.submitted, self.config)
         trace.save(path)
+        return trace
 
     # -- connection handler ----------------------------------------------------
 
@@ -347,15 +343,6 @@ class ReproServer:
 
     # -- reactor ---------------------------------------------------------------
 
-    def _stamp(self, requested: int) -> int:
-        """The arrival stamp a live submission gets: never before the
-        next unexecuted admission phase, never before an earlier
-        submission's stamp (monotone ⇒ replay-index-stable)."""
-        stamp = max(requested, self._core.arrival_floor,
-                    self._last_stamp)
-        self._last_stamp = stamp
-        return stamp
-
     def _admit(self, spec: TenantSpec, conn: _Connection) -> None:
         try:
             self._core.submit(spec)
@@ -363,7 +350,6 @@ class ReproServer:
             conn.send({"type": "rejected", "tenant": spec.tenant,
                        "reason": str(err)})
             return
-        self.admitted_specs.append(spec)
         self._owners[spec.tenant] = conn
         conn.send({"type": "accepted", "tenant": spec.tenant,
                    "arrival_tick": spec.arrival_tick})
@@ -401,7 +387,7 @@ class ReproServer:
             self._admit(spec, conn)
 
     def _restamped(self, spec: TenantSpec) -> TenantSpec:
-        stamp = self._stamp(spec.arrival_tick)
+        stamp = self._core.stamp(spec.arrival_tick)
         if stamp == spec.arrival_tick:
             return spec
         return dataclasses.replace(spec, arrival_tick=stamp)

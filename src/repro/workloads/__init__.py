@@ -9,7 +9,6 @@ counts, skew, and ordering, which the generators preserve.
 from repro.workloads.streams import (
     random_order_stream,
     zipf_keys,
-    distinct_stream,
     random_points,
 )
 from repro.workloads.bigdata import (
@@ -22,7 +21,6 @@ from repro.workloads.traces import (
     ARRIVAL_PROCESSES,
     TRACE_VERSION,
     Trace,
-    TraceQuery,
     generate_trace,
     load_trace,
     parse_trace,
@@ -31,7 +29,6 @@ from repro.workloads.traces import (
 __all__ = [
     "random_order_stream",
     "zipf_keys",
-    "distinct_stream",
     "random_points",
     "BigDataGenerator",
     "BENCHMARK_QUERIES",
@@ -41,7 +38,6 @@ __all__ = [
     "ARRIVAL_PROCESSES",
     "TRACE_VERSION",
     "Trace",
-    "TraceQuery",
     "generate_trace",
     "load_trace",
     "parse_trace",

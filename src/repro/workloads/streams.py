@@ -50,16 +50,6 @@ def zipf_keys(length: int, distinct: int, skew: float = 1.1,
     ]
 
 
-def distinct_stream(length: int, distinct: int, seed: int = 0,
-                    values_are_wide: bool = False) -> List:
-    """Stream for DISTINCT experiments; ``values_are_wide`` yields
-    multi-part tuples to exercise the fingerprint path."""
-    keys = random_order_stream(length, distinct, seed)
-    if not values_are_wide:
-        return keys
-    return [(k, f"url-{k}.example.com", k * 17) for k in keys]
-
-
 def random_points(length: int, dimensions: int = 2,
                   value_range: int = 1 << 16, seed: int = 0,
                   correlated: float = 0.0,

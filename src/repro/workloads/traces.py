@@ -26,8 +26,11 @@ Format summary (one JSON object per line):
   a v2 field fails with a version-gating diagnostic; the writer emits
   the lowest version that can represent the trace.
 
-:func:`parse_trace` validates everything and raises :class:`ValueError`
-naming the offending ``source:line``; :func:`load_trace` reads a file.
+Each query record is a :class:`TenantSpec`, the same record the
+scheduler serves.  The line framing is shared with failure schedules
+(:mod:`repro.workloads.records`).  :func:`parse_trace` validates
+everything and raises :class:`ValueError` naming the offending
+``source:line``; :func:`load_trace` reads a file.
 Generation is pure: the same process, knobs, and seed always produce a
 byte-identical trace.  :func:`trace_from_specs` records a live serve
 session's tenants as a replayable trace (``repro serve
@@ -54,10 +57,11 @@ ValueError: <trace>:1: unsupported trace version 99 (this parser reads versions 
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import random
 from typing import Dict, List, Optional, Sequence
+
+from repro.workloads import records
 
 #: Newest format version this module writes and reads.  The writer
 #: emits version 1 whenever a trace uses no v2 feature, so pre-QoS
@@ -95,49 +99,63 @@ _QUERY_KEYS_V2 = frozenset({"priority", "slots"})
 
 
 @dataclasses.dataclass(frozen=True)
-class TraceQuery:
-    """One recorded query arrival: what runs, how big, and when.
+class TenantSpec:
+    """One tenant's request: a named scenario plus arrival time.
 
-    ``priority`` and ``slots`` are the version-2 QoS hints: the name of
-    a priority class of the replaying scheduler's policy, and the
-    serving-slot ask.  Their defaults (``None`` / ``1``) mean the query
-    needs only version 1 on the wire.
+    This is both what the scheduler serves and one query record of an
+    arrival trace.  ``priority`` names a class of the serving policy
+    (:class:`~repro.cluster.qos.QosPolicy`; ``None`` = the policy's
+    default class) and ``slots`` is the tenant's serving-slot ask —
+    the version-2 QoS hints.  Their defaults (``None`` / ``1``) mean
+    the record needs only trace version 1.
     """
 
     tenant: str
     scenario: str
     rows: int = 240
     seed: int = 0
+    #: Global scheduler tick at which the tenant shows up (0 = start).
     arrival_tick: int = 0
+    #: QoS class hint (a policy class name; None = policy default).
     priority: Optional[str] = None
+    #: Serving slots this tenant occupies while admitted.
     slots: int = 1
 
-    @property
-    def needs_v2(self) -> bool:
-        """Does serializing this query require format version 2?"""
-        return self.priority is not None or self.slots != 1
+    def __post_init__(self) -> None:
+        if self.arrival_tick < 0:
+            raise ValueError(
+                f"arrival_tick must be >= 0, got {self.arrival_tick}"
+            )
+        if self.slots < 1:
+            raise ValueError(f"slots must be >= 1, got {self.slots}")
 
-    def to_record(self) -> Dict:
-        """The query as its JSON-lines record (plain dict).  The v2
-        hints are only emitted when set, so hint-free traces remain
-        byte-identical to their version-1 serialization."""
-        record = {
-            "tenant": self.tenant,
-            "scenario": self.scenario,
-            "rows": self.rows,
-            "seed": self.seed,
-            "arrival_tick": self.arrival_tick,
-        }
-        if self.priority is not None:
-            record["priority"] = self.priority
-        if self.slots != 1:
-            record["slots"] = self.slots
-        return record
+
+def needs_v2(spec: TenantSpec) -> bool:
+    """Does serializing ``spec`` require trace format version 2?"""
+    return spec.priority is not None or spec.slots != 1
+
+
+def to_record(spec: TenantSpec) -> Dict:
+    """``spec`` as its JSON-lines query record (plain dict).  The v2
+    hints are only emitted when set, so hint-free traces remain
+    byte-identical to their version-1 serialization."""
+    record = {
+        "tenant": spec.tenant,
+        "scenario": spec.scenario,
+        "rows": spec.rows,
+        "seed": spec.seed,
+        "arrival_tick": spec.arrival_tick,
+    }
+    if spec.priority is not None:
+        record["priority"] = spec.priority
+    if spec.slots != 1:
+        record["slots"] = spec.slots
+    return record
 
 
 @dataclasses.dataclass(frozen=True)
 class Trace:
-    """A parsed (or generated) arrival trace.
+    """A parsed (or generated) arrival trace of :class:`TenantSpec`\\ s.
 
     ``loss_rate``/``shards`` are trace-wide scheduler overrides from the
     header; ``None`` means the replaying config's value applies.
@@ -159,7 +177,7 @@ class Trace:
     @property
     def version(self) -> int:
         """Lowest format version that can represent this trace."""
-        return 2 if any(q.needs_v2 for q in self.queries) else 1
+        return 2 if any(needs_v2(q) for q in self.queries) else 1
 
     def header(self) -> Dict:
         """The trace's header record (plain dict)."""
@@ -177,132 +195,82 @@ class Trace:
 
     def to_jsonl(self) -> str:
         """The trace serialized as JSON lines (header first)."""
-        lines = [json.dumps(self.header(), sort_keys=True)]
-        lines += [json.dumps(q.to_record(), sort_keys=True)
-                  for q in self.queries]
-        return "\n".join(lines) + "\n"
+        return records.dump(self.header(), map(to_record, self.queries))
 
     def save(self, path: str) -> str:
         """Write the trace to ``path`` and return it."""
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(self.to_jsonl())
-        return path
-
-    def tenant_specs(self) -> List:
-        """The trace's queries as scheduler :class:`TenantSpec`s."""
-        from repro.cluster.scheduler import TenantSpec
-
-        return [
-            TenantSpec(tenant=q.tenant, scenario=q.scenario, rows=q.rows,
-                       seed=q.seed, arrival_tick=q.arrival_tick,
-                       priority=q.priority, slots=q.slots)
-            for q in self.queries
-        ]
-
-
-def _fail(source: str, line_no: int, message: str) -> None:
-    raise ValueError(f"{source}:{line_no}: {message}")
-
-
-def _require_int(record: Dict, key: str, source: str, line_no: int,
-                 minimum: int, default: Optional[int] = None) -> int:
-    value = record.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool):
-        _fail(source, line_no, f"{key!r} must be an integer, "
-                               f"got {value!r}")
-    if value < minimum:
-        _fail(source, line_no, f"{key!r} must be >= {minimum}, "
-                               f"got {value}")
-    return value
+        return records.save(path, self.to_jsonl())
 
 
 def _parse_header(record: Dict, source: str, line_no: int):
-    if record.get("kind") != TRACE_KIND:
-        _fail(source, line_no,
-              f"first line must be the trace header with "
-              f"\"kind\": \"{TRACE_KIND}\", got kind={record.get('kind')!r}")
-    version = record.get("version")
-    if not isinstance(version, int) or isinstance(version, bool):
-        _fail(source, line_no, f"\"version\" must be an integer, "
-                               f"got {version!r}")
-    if version not in SUPPORTED_VERSIONS:
-        _fail(source, line_no,
-              f"unsupported trace version {version} (this parser reads "
-              f"versions {SUPPORTED_VERSIONS[0]}-{SUPPORTED_VERSIONS[-1]})")
-    unknown = sorted(set(record) - _HEADER_KEYS)
-    if unknown:
-        _fail(source, line_no,
-              f"unknown header field(s): {', '.join(unknown)}")
     process = record.get("process", "custom")
     if process != "custom" and process not in ARRIVAL_PROCESSES:
-        _fail(source, line_no,
-              f"unknown arrival process {process!r} (expected one of: "
-              f"{', '.join(ARRIVAL_PROCESSES)}, or custom)")
-    seed = _require_int(record, "seed", source, line_no, minimum=0,
-                        default=0)
-    loss_rate = record.get("loss_rate")
-    if loss_rate is not None:
-        if not isinstance(loss_rate, (int, float)) \
-                or isinstance(loss_rate, bool) \
-                or not 0.0 <= loss_rate < 1.0:
-            _fail(source, line_no, f"\"loss_rate\" must be a number in "
-                                   f"[0, 1), got {loss_rate!r}")
-        loss_rate = float(loss_rate)
+        records.fail(source, line_no,
+                     f"unknown arrival process {process!r} (expected one "
+                     f"of: {', '.join(ARRIVAL_PROCESSES)}, or custom)")
+    seed = records.require_int(record, "seed", source, line_no, minimum=0,
+                               default=0)
+    loss_rate = None
+    if record.get("loss_rate") is not None:
+        loss_rate = records.require_rate(record, "loss_rate", source,
+                                         line_no)
     shards = record.get("shards")
     if shards is not None:
-        shards = _require_int(record, "shards", source, line_no,
-                              minimum=1)
-    return version, process, seed, loss_rate, shards
+        shards = records.require_int(record, "shards", source, line_no,
+                                     minimum=1)
+    return process, seed, loss_rate, shards
 
 
 def _parse_query(record: Dict, source: str, line_no: int,
                  index: int, scenarios, last_arrival: int,
-                 seen_tenants: set, version: int) -> TraceQuery:
+                 seen_tenants: set, version: int) -> TenantSpec:
     allowed = _QUERY_KEYS if version < 2 else _QUERY_KEYS | _QUERY_KEYS_V2
     unknown = sorted(set(record) - allowed)
     if unknown:
         gated = sorted(set(unknown) & _QUERY_KEYS_V2)
         if gated:
-            _fail(source, line_no,
-                  f"{', '.join(repr(g) for g in gated)} "
-                  f"{'is a' if len(gated) == 1 else 'are'} version-2 "
-                  f"field{'s' if len(gated) > 1 else ''} but the header "
-                  f"declares version {version}")
-        _fail(source, line_no,
-              f"unknown query field(s): {', '.join(unknown)}")
+            records.fail(
+                source, line_no,
+                f"{', '.join(repr(g) for g in gated)} "
+                f"{'is a' if len(gated) == 1 else 'are'} version-2 "
+                f"field{'s' if len(gated) > 1 else ''} but the header "
+                f"declares version {version}")
+        records.fail(source, line_no,
+                     f"unknown query field(s): {', '.join(unknown)}")
     scenario = record.get("scenario")
     if not isinstance(scenario, str):
-        _fail(source, line_no, "query record needs a \"scenario\" name, "
-                               f"got {scenario!r}")
+        records.fail(source, line_no, "query record needs a \"scenario\" "
+                                      f"name, got {scenario!r}")
     if scenario not in scenarios:
-        _fail(source, line_no,
-              f"unknown scenario {scenario!r} (available: "
-              f"{', '.join(sorted(scenarios))})")
-    arrival = _require_int(record, "arrival_tick", source, line_no,
-                           minimum=0, default=0)
+        records.fail(source, line_no,
+                     f"unknown scenario {scenario!r} (available: "
+                     f"{', '.join(sorted(scenarios))})")
+    arrival = records.require_int(record, "arrival_tick", source, line_no,
+                                  minimum=0, default=0)
     if arrival < last_arrival:
-        _fail(source, line_no,
-              f"arrival ticks must be non-decreasing: {arrival} after "
-              f"{last_arrival} (sort the trace by arrival_tick)")
-    rows = _require_int(record, "rows", source, line_no, minimum=20,
-                        default=240)
-    seed = _require_int(record, "seed", source, line_no, minimum=0,
-                        default=0)
+        records.fail(source, line_no,
+                     f"arrival ticks must be non-decreasing: {arrival} "
+                     f"after {last_arrival} (sort the trace by "
+                     f"arrival_tick)")
+    rows = records.require_int(record, "rows", source, line_no,
+                               minimum=20, default=240)
+    seed = records.require_int(record, "seed", source, line_no, minimum=0,
+                               default=0)
     tenant = record.get("tenant", f"q{index}")
     if not isinstance(tenant, str) or not tenant:
-        _fail(source, line_no, f"\"tenant\" must be a non-empty string, "
-                               f"got {tenant!r}")
+        records.fail(source, line_no, f"\"tenant\" must be a non-empty "
+                                      f"string, got {tenant!r}")
     if tenant in seen_tenants:
-        _fail(source, line_no, f"duplicate tenant name {tenant!r}")
+        records.fail(source, line_no, f"duplicate tenant name {tenant!r}")
     seen_tenants.add(tenant)
     priority = record.get("priority")
     if priority is not None and (not isinstance(priority, str)
                                  or not priority):
-        _fail(source, line_no, f"\"priority\" must be a non-empty QoS "
-                               f"class name, got {priority!r}")
-    slots = _require_int(record, "slots", source, line_no, minimum=1,
-                         default=1)
-    return TraceQuery(tenant=tenant, scenario=scenario, rows=rows,
+        records.fail(source, line_no, f"\"priority\" must be a non-empty "
+                                      f"QoS class name, got {priority!r}")
+    slots = records.require_int(record, "slots", source, line_no,
+                                minimum=1, default=1)
+    return TenantSpec(tenant=tenant, scenario=scenario, rows=rows,
                       seed=seed, arrival_tick=arrival,
                       priority=priority, slots=slots)
 
@@ -310,51 +278,37 @@ def _parse_query(record: Dict, source: str, line_no: int,
 def parse_trace(text: str, source: str = "<trace>") -> Trace:
     """Parse and validate JSON-lines trace ``text``.
 
-    Every diagnostic is a :class:`ValueError` whose message starts with
-    ``source:line`` so a bad line in a recorded trace is directly
-    addressable.  Blank lines are permitted (and keep their line
-    numbers); the header must be the first non-blank line.
+    The framing (``source:line`` diagnostics, blank lines, the header's
+    kind/version checks) is :func:`repro.workloads.records.read`'s;
+    this adds the trace's field rules, non-decreasing arrivals and
+    unique tenant names.
     """
     from repro.cluster.simulation import SCENARIOS
 
-    header = None
-    queries: List[TraceQuery] = []
+    lines = records.read(text, source, noun="trace", kind=TRACE_KIND,
+                         versions=SUPPORTED_VERSIONS,
+                         header_keys=_HEADER_KEYS)
+    line_no, header = next(lines)
+    process, seed, loss_rate, shards = _parse_header(header, source,
+                                                     line_no)
+    queries: List[TenantSpec] = []
     last_arrival = 0
     seen_tenants: set = set()
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as error:
-            _fail(source, line_no, f"malformed JSON ({error.msg} at "
-                                   f"column {error.colno})")
-        if not isinstance(record, dict):
-            _fail(source, line_no, "every trace line must be a JSON "
-                                   f"object, got {type(record).__name__}")
-        if header is None:
-            header = _parse_header(record, source, line_no)
-            continue
+    for line_no, record in lines:
         query = _parse_query(record, source, line_no, index=len(queries),
                              scenarios=SCENARIOS,
                              last_arrival=last_arrival,
                              seen_tenants=seen_tenants,
-                             version=header[0])
+                             version=header["version"])
         last_arrival = query.arrival_tick
         queries.append(query)
-    if header is None:
-        _fail(source, 1, "empty trace: expected a header line "
-                         f"({{\"kind\": \"{TRACE_KIND}\", \"version\": "
-                         f"{TRACE_VERSION}}})")
-    _version, process, seed, loss_rate, shards = header
     return Trace(queries=tuple(queries), process=process, seed=seed,
                  loss_rate=loss_rate, shards=shards)
 
 
 def load_trace(path: str) -> Trace:
     """Read and validate the JSON-lines trace at ``path``."""
-    with open(path, encoding="utf-8") as f:
-        return parse_trace(f.read(), source=path)
+    return records.load(path, parse_trace)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +451,7 @@ def generate_trace(process: str, queries: int, *, rows: int = 240,
         arrivals = _diurnal_arrivals(rng, queries, interarrival, period,
                                      amplitude)
     trace_queries = tuple(
-        TraceQuery(tenant=f"q{i}", scenario=mix[i % len(mix)], rows=rows,
+        TenantSpec(tenant=f"q{i}", scenario=mix[i % len(mix)], rows=rows,
                    seed=seed + i, arrival_tick=arrival,
                    priority=(None if priorities is None
                              else priorities[i % len(priorities)]))
@@ -507,29 +461,20 @@ def generate_trace(process: str, queries: int, *, rows: int = 240,
                  loss_rate=loss_rate, shards=shards)
 
 
-def trace_from_specs(specs: Sequence, seed: int = 0,
-                     loss_rate: Optional[float] = None,
-                     shards: Optional[int] = None) -> Trace:
-    """Record scheduler ``TenantSpec``\\ s as a replayable trace.
+def trace_from_specs(specs: Sequence[TenantSpec], config) -> Trace:
+    """Record served ``specs`` as a replayable trace.
 
-    This is the ``repro serve --record-trace`` surface: the serve
-    session's admissions (tenant, scenario, rows, seed, arrival tick,
-    and the v2 QoS hints) become a trace whose replay under the same
-    :class:`~repro.cluster.scheduler.SchedulerConfig` reproduces the
+    This is how every recorded session is written (``Session``,
+    ``ReproServer`` and ``repro serve --record-trace``): the specs
+    (tenant, scenario, rows, seed, arrival tick, and the v2 QoS hints)
+    become a trace whose replay under the same ``config`` (a
+    :class:`~repro.cluster.scheduler.SchedulerConfig`) reproduces the
     serve run byte-identically (``ScheduleReport.to_payload``).  The
-    header pins the session's network conditions via
-    ``loss_rate``/``shards`` and records the scheduler seed as
-    provenance; queries are sorted by arrival tick (stable), satisfying
-    the format's non-decreasing-arrival rule.
+    header pins the config's network conditions via
+    ``loss_rate``/``shards`` and records its seed as provenance;
+    queries are sorted by arrival tick (stable), satisfying the
+    format's non-decreasing-arrival rule.
     """
-    ordered = sorted(specs, key=lambda s: s.arrival_tick)
-    return Trace(
-        queries=tuple(
-            TraceQuery(tenant=spec.tenant, scenario=spec.scenario,
-                       rows=spec.rows, seed=spec.seed,
-                       arrival_tick=spec.arrival_tick,
-                       priority=spec.priority, slots=spec.slots)
-            for spec in ordered
-        ),
-        process="custom", seed=seed, loss_rate=loss_rate, shards=shards,
-    )
+    return Trace(queries=tuple(sorted(specs, key=lambda s: s.arrival_tick)),
+                 seed=config.seed, loss_rate=config.loss_rate,
+                 shards=config.shards)

@@ -76,7 +76,7 @@ class TestSession:
             assert result.output is not None
             assert result.output_repr == repr(result.output)
 
-    def test_incremental_submissions_keep_monotone_stamps(self):
+    def test_incremental_submissions_keep_monotone_stamps(self, tmp_path):
         """Submitting after run() resumes the loop; stamps never go
         backwards, so the recorded trace stays replay-identical."""
         session = Session(ServeConfig(slots=1))
@@ -85,7 +85,7 @@ class TestSession:
         name = session.submit("distinct", rows=40, tenant="b",
                               arrival_tick=0)  # clamped forward
         session.run()
-        specs = session.submitted_specs
+        specs = session.write_trace(str(tmp_path / "t.jsonl")).queries
         assert [s.tenant for s in specs] == ["a", "b"]
         assert specs[1].arrival_tick >= specs[0].arrival_tick
         assert session.result(name).served

@@ -126,6 +126,14 @@ def pass_totals(passes):
     }
 
 
+def shard_gauges(obs):
+    """The exported per-shard offered and pruned gauges, by shard."""
+    snapshot = obs.registry.snapshot()
+    return [[sample["value"] for sample in snapshot[metric]["samples"]]
+            for metric in (names.SWITCH_SHARD_OFFERED,
+                           names.SWITCH_SHARD_PRUNED)]
+
+
 def live_totals(run):
     """What an end-of-tick poll publishes for an in-service tenant:
     its finished passes plus the in-flight one."""
@@ -272,6 +280,60 @@ class TestCollectOnRead:
         for name in (names.SCHED_ACTIVE, names.SCHED_OCCUPANCY,
                      names.SCHED_QUEUE_DEPTH, names.SCHED_SUSPENDED):
             assert gauge(name) == 0, name
+
+    @pytest.mark.parametrize("name", ["chaos", "lossless-24", "lossy",
+                                      "tiers-preempt-2-shards"])
+    def test_shard_gauges_count_every_query_once(self, name):
+        """The per-shard gauges are cumulative: at session end they
+        equal each query's per-shard counters taken when it was
+        uninstalled — none lost, none counted twice across a
+        suspend/resume or a chaos migration."""
+        if name == "tiers-preempt-2-shards":
+            knobs, specs, chaos = ACCOUNTED["aimd-tiers-preempt"]
+            knobs = dict(knobs, shards=2)
+        else:
+            knobs, specs, chaos = ACCOUNTED[name]
+        obs = Observability()
+        loop = ServingLoop(
+            SchedulerConfig(obs=obs, **knobs),
+            chaos=(ChaosController(generate_schedule(**chaos))
+                   if chaos is not None else None))
+        frontend = loop.frontend
+        retired = []
+        uninstall = frontend.uninstall_query
+
+        def recording_uninstall(fid):
+            retired.append([(s.offered, s.pruned) for s in
+                            frontend.pruner_for(fid).per_shard_stats()])
+            uninstall(fid)
+
+        frontend.uninstall_query = recording_uninstall
+        for spec in specs:
+            loop.submit(spec)
+        while loop.has_work:
+            loop.run_tick()
+        report = loop.report(check=False, wall_seconds=0.0)
+        if name == "tiers-preempt-2-shards":
+            assert report.preemption_count >= 1
+        if name == "chaos":
+            assert frontend.migrations >= 1
+        expected = [tuple(map(sum, zip(*shard))) for shard in zip(*retired)]
+        assert [(s.offered, s.pruned)
+                for s in frontend.per_shard_stats()] == expected
+        assert shard_gauges(obs) == [list(c) for c in zip(*expected)]
+
+    def test_shard_gauges_keep_retired_queries(self):
+        """Pinned totals of a lossy two-shard fleet; before the
+        gauges kept retired queries they read 0 at session end."""
+        obs = Observability()
+        loop = ServingLoop(SchedulerConfig(slots=4, shards=2,
+                                           loss_rate=0.05,
+                                           reorder_window=2, obs=obs))
+        for spec in tenant_specs(8, rows=60):
+            loop.submit(spec)
+        while loop.has_work:
+            loop.run_tick()
+        assert shard_gauges(obs) == [[253, 287], [113, 165]]
 
     def test_reads_mid_session_carry_live_counters(self):
         """What a ``stats`` frame snapshots between ticks equals what

@@ -48,7 +48,6 @@ from repro.cluster.simulation import ClusterSimulation, build_scenario
 from repro.switch.controlplane import ControlPlane, QuerySpec
 from repro.workloads.traces import (
     Trace,
-    TraceQuery,
     generate_trace,
     load_trace,
     parse_trace,
@@ -534,9 +533,6 @@ class TestTraceV2:
         assert beta.priority == "interactive"
         assert gamma.priority is None and gamma.slots == 2
         assert delta.priority is None and delta.slots == 1
-        specs = trace.tenant_specs()
-        assert specs[0].priority == "batch"
-        assert specs[2].slots == 2
 
     def test_v2_round_trip_is_identity(self):
         trace = load_trace(str(DATA / "trace_golden_v2.jsonl"))
@@ -642,7 +638,7 @@ class TestRecordTrace:
         specs = tenant_specs(5, rows=80, seed=6, arrival_stride=9,
                              priorities=("interactive", "batch"))
         report = QueryScheduler(config).serve(specs)
-        trace = trace_from_specs(specs, seed=6, loss_rate=0.03, shards=2)
+        trace = trace_from_specs(specs, config)
         assert trace.version == 2
         replayed = replay_trace(parse_trace(trace.to_jsonl()), config,
                                 apply_overrides=False)
@@ -730,7 +726,7 @@ class TestRecordTrace:
     def test_trace_from_specs_sorts_by_arrival(self):
         specs = [TenantSpec("late", "distinct", arrival_tick=50),
                  TenantSpec("early", "filter", arrival_tick=0)]
-        trace = trace_from_specs(specs)
+        trace = trace_from_specs(specs, SchedulerConfig())
         assert [q.tenant for q in trace.queries] == ["early", "late"]
         parse_trace(trace.to_jsonl())  # non-decreasing arrivals hold
 
@@ -807,7 +803,7 @@ class TestQosBenchAndCli:
         from repro.cli import main
 
         trace = Trace(queries=(
-            TraceQuery(tenant="wide", scenario="distinct", rows=60,
+            TenantSpec(tenant="wide", scenario="distinct", rows=60,
                        slots=2),
         ))
         path = tmp_path / "slots_only.jsonl"

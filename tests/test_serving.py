@@ -141,6 +141,69 @@ class TestConcurrentClients:
 
         assert run_once() == run_once()
 
+    def test_every_recorder_writes_the_same_trace(self, tmp_path,
+                                                  capsys):
+        """One set of specs under one config, recorded three ways —
+        ``Session``, ``ReproServer`` and ``repro serve --record-trace``
+        — gives byte-identical traces that each replay to the same
+        report payload as the live in-process session."""
+        from repro.api import ServeConfig, Session
+        from repro.cli import main
+        from repro.cluster.scheduler import tenant_specs
+
+        config = ServeConfig(slots=2, loss=0.05, shards=2,
+                             policy="tiers", seed=4)
+        specs = tenant_specs(4, rows=60, seed=4, arrival_stride=3,
+                             priorities=("interactive", "batch"))
+        paths = {name: str(tmp_path / f"{name}.jsonl")
+                 for name in ("session", "server", "cli")}
+
+        session = Session(config)
+        for spec in specs:
+            session.submit(spec.scenario, tenant=spec.tenant,
+                           rows=spec.rows, seed=spec.seed,
+                           priority=spec.priority,
+                           arrival_tick=spec.arrival_tick)
+        session.run()
+        session.write_trace(paths["session"])
+
+        async def socket_session():
+            server = ReproServer(config, hold=len(specs))
+            await server.start()
+            host, port = server.address
+
+            async def one(spec):
+                client = await AsyncReproClient.connect(host, port)
+                await client.run(spec.scenario, tenant=spec.tenant,
+                                 rows=spec.rows, seed=spec.seed,
+                                 priority=spec.priority,
+                                 arrival_tick=spec.arrival_tick)
+                await client.close()
+
+            await asyncio.gather(*(one(spec) for spec in specs))
+            await server.stop()
+            server.write_trace(paths["server"])
+
+        asyncio.run(socket_session())
+
+        assert main(["serve", "--tenants", "4", "--rows", "60",
+                     "--seed", "4", "--arrival-stride", "3",
+                     "--priorities", "interactive,batch",
+                     "--slots", "2", "--loss", "0.05", "--shards", "2",
+                     "--policy", "tiers",
+                     "--record-trace", paths["cli"]]) == 0
+        capsys.readouterr()
+
+        written = {name: open(path, "rb").read()
+                   for name, path in paths.items()}
+        assert written["session"] == written["server"] == written["cli"]
+        live = json.dumps(session.report().to_payload(), sort_keys=True)
+        for path in paths.values():
+            replayed = replay_trace(load_trace(path),
+                                    config.scheduler_config())
+            assert json.dumps(replayed.to_payload(),
+                              sort_keys=True) == live
+
 
 class TestProtocolEdges:
     @staticmethod

@@ -32,7 +32,7 @@ from repro.workloads.traces import (
     ARRIVAL_PROCESSES,
     DEFAULT_MIX,
     Trace,
-    TraceQuery,
+    TenantSpec,
     generate_trace,
     load_trace,
     parse_trace,
@@ -56,7 +56,7 @@ class TestParsing:
         assert [q.tenant for q in trace.queries] == \
             ["alpha", "beta", "gamma", "delta"]
         assert [q.arrival_tick for q in trace.queries] == [0, 5, 5, 30]
-        assert trace.queries[0] == TraceQuery(
+        assert trace.queries[0] == TenantSpec(
             tenant="alpha", scenario="distinct", rows=60, seed=1,
             arrival_tick=0)
         assert trace.duration_ticks == 30
@@ -280,7 +280,7 @@ class TestReplay:
         service (no queueing)."""
         first = generate_trace("burst", queries=2, rows=60, seed=3,
                                burst_size=2, mix=("distinct", "filter"))
-        straggler = TraceQuery(tenant="late", scenario="topn", rows=60,
+        straggler = TenantSpec(tenant="late", scenario="topn", rows=60,
                                seed=9, arrival_tick=50_000)
         trace = Trace(queries=first.queries + (straggler,))
         report = replay_trace(trace, SchedulerConfig(slots=2, seed=1))
@@ -303,7 +303,7 @@ class TestReplay:
         from repro.switch.resources import SMALL_SWITCH_MODEL
 
         trace = Trace(queries=(
-            TraceQuery(tenant="big", scenario="skyline", rows=60),
+            TenantSpec(tenant="big", scenario="skyline", rows=60),
         ))
         report = replay_trace(trace, SchedulerConfig(
             slots=1, switch=SMALL_SWITCH_MODEL))
